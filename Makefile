@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-regress bench-regress-smoke chaos chaos-smoke serve serve-soak serve-smoke stream stream-smoke exact-smoke recovery-smoke native-smoke net-smoke shard-smoke experiments verify examples clean
+.PHONY: install test bench bench-regress bench-regress-smoke chaos chaos-smoke serve serve-soak serve-smoke stream stream-smoke exact-smoke recovery-smoke native-smoke net-smoke shard-smoke perfbench-smoke experiments verify examples clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -72,6 +72,20 @@ net-smoke:
 shard-smoke:
 	timeout 480 $(PYTHON) -m pytest -m shard -q
 	timeout 300 $(PYTHON) -m repro shard --check
+
+# The repository benchmark's output checks at a small size: each workload
+# must exit 0 (every output check passed) with ok_frac 1.0.  No timing
+# gates.  Each stream round crosses a journal checkpoint.
+perfbench-smoke:
+	@mkdir -p .perfbench
+	@for w in batch serve stream; do \
+		out=.perfbench/smoke-$$w.out; \
+		timeout 300 $(PYTHON) perfbench/run.py --workload $$w --seed 1 --seconds 4 > $$out \
+			|| { cat $$out; echo "perfbench-smoke: $$w exited nonzero"; exit 1; }; \
+		tail -n 1 $$out; \
+		tail -n 1 $$out | $(PYTHON) -c "import json, sys; sys.exit(json.load(sys.stdin)['metrics']['ok_frac']['value'] < 1.0)" \
+			|| { cat $$out; echo "perfbench-smoke: $$w ok_frac below 1.0"; exit 1; }; \
+	done
 
 experiments:
 	$(PYTHON) -m repro.experiments all --out results.json

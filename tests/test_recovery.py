@@ -14,9 +14,11 @@ import json
 import os
 import queue
 import signal
+import struct
 import subprocess
 import sys
 import threading
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +42,10 @@ pytestmark = pytest.mark.recovery
 CORPUS = Path(__file__).parent / "data" / "journal_corpus"
 with open(CORPUS / "manifest.json", encoding="utf-8") as _fh:
     MANIFEST = json.load(_fh)
+
+#: A version-1 checkpoint of ``_churned_registry()``, as written before
+#: checkpoints were stored uncompressed with their array list.
+V1_CHECKPOINT = Path(__file__).parent / "data" / "checkpoint_v1.npz"
 
 GRAPH_SPEC = {"kind": "union", "n": 60, "k": 3, "seed": 0}
 
@@ -112,22 +118,47 @@ def test_recover_refuses_interleaved_corruption_with_offset(tmp_path):
 # -- DurableLog: appends, rotation, poisoning --------------------------
 
 
-def test_durable_log_rotates_generations(tmp_path):
-    log = DurableLog(tmp_path, checkpoint_every=2)
+def _rotate_one_generation(directory, write):
+    """Append, rotate once with *write* as the snapshot writer, append
+    again; return the new generation's checkpoint path."""
+    log = DurableLog(directory, checkpoint_every=2)
     log.append({"op": "a"})
     log.append({"op": "b"})
     assert log.should_checkpoint
-    log.rotate(lambda tmp: Path(tmp).write_bytes(b"snapshot"))
+    log.rotate(write)
     assert log.generation == 1
     log.append({"op": "c"})
     log.close()
-    gen, ckpt, wal = latest_generation(tmp_path)
+    gen, ckpt, wal = latest_generation(directory)
     assert gen == 1 and ckpt is not None and wal is not None
-    assert Path(ckpt).read_bytes() == b"snapshot"
     assert [r["op"] for r in scan_journal(wal).records] == ["c"]
     # The previous generation was retired only after the new one was
-    # fully durable.
-    assert not (tmp_path / "wal-000000.log").exists()
+    # fully durable, and no temp file was left behind.
+    assert sorted(os.listdir(directory)) == [
+        "ckpt-000001.npz", "wal-000001.log"
+    ]
+    return ckpt
+
+
+def test_durable_log_rotates_generations(tmp_path):
+    ckpt = _rotate_one_generation(
+        tmp_path, lambda tmp: Path(tmp).write_bytes(b"snapshot")
+    )
+    assert Path(ckpt).read_bytes() == b"snapshot"
+
+
+def test_durable_log_rotates_with_checkpoint_writer(tmp_path):
+    """The same rotation with the daemon's own writer: it must write the
+    temp path it is given (not ``<tmp>.npz``), and the renamed checkpoint
+    must restore the state it was taken from."""
+    registry, _ = _churned_registry()
+    state = registry.export_state()
+    ckpt = _rotate_one_generation(
+        tmp_path, lambda tmp: write_snapshot(tmp, state)
+    )
+    restored = _StreamRegistry(8, None)
+    restored.restore_state(read_snapshot(ckpt))
+    _assert_continues_bitwise(registry, restored)
 
 
 def test_poisoned_log_refuses_further_writes(tmp_path):
@@ -162,14 +193,9 @@ def test_torn_append_leaves_recoverable_tail(tmp_path):
 # -- checkpoint/restore: bitwise state round-trips ---------------------
 
 
-def test_checkpoint_roundtrip_preserves_state_bitwise(tmp_path):
-    registry, _ = _churned_registry()
-    state = registry.export_state()
-    path = tmp_path / "ckpt-000001.npz"
-    write_snapshot(path, state)
-    restored = _StreamRegistry(8, None)
-    restored.restore_state(read_snapshot(path))
-
+def _assert_continues_bitwise(registry, restored):
+    """*restored* holds *registry*'s session ``s1`` and continues it
+    bitwise-identically."""
     g1, m1 = registry._sessions["s1"]
     g2, m2 = restored._sessions["s1"]
     assert g2.epoch == g1.epoch and g2.nnz == g1.nnz
@@ -188,6 +214,51 @@ def test_checkpoint_roundtrip_preserves_state_bitwise(tmp_path):
     a1 = registry.rematch({"handle": "s1"})
     a2 = restored.rematch({"handle": "s1"})
     assert a1 == a2
+
+
+def _member_data_start(blob, info):
+    """Offset of a zip member's data: past its local header's fixed 30
+    bytes, file name and extra field."""
+    start = info.header_offset
+    name_len, extra_len = struct.unpack("<HH", blob[start + 26 : start + 30])
+    return start + 30 + name_len + extra_len
+
+
+def test_checkpoint_roundtrip_preserves_state_bitwise(tmp_path):
+    registry, _ = _churned_registry()
+    path = tmp_path / "ckpt-000001.npz"
+    write_snapshot(path, registry.export_state())
+    restored = _StreamRegistry(8, None)
+    restored.restore_state(read_snapshot(path))
+    _assert_continues_bitwise(registry, restored)
+
+
+def test_version1_checkpoint_restores_and_continues_bitwise(tmp_path):
+    """Journal directories written before the stored layout hold
+    version-1 checkpoints (deflated, no array list).  The committed one
+    was written from ``_churned_registry()``; recovering a directory
+    holding it must restore (and recertify) the session, which then
+    continues bitwise like the live registry.  Its members are still
+    CRC-checked."""
+    with zipfile.ZipFile(V1_CHECKPOINT) as zf:
+        assert {i.compress_type for i in zf.infolist()} == {
+            zipfile.ZIP_DEFLATED
+        }
+        info = zf.getinfo("s1/graph/keys.npy")
+    blob = bytearray(V1_CHECKPOINT.read_bytes())
+    path = tmp_path / "ckpt-000001.npz"
+    path.write_bytes(bytes(blob))
+    registry, cache = _churned_registry()
+    recovered, report = recover_registry(
+        tmp_path, cache=cache, attach_journal=False
+    )
+    assert report.sessions == 1
+    _assert_continues_bitwise(registry, recovered)
+
+    blob[_member_data_start(blob, info) + info.compress_size // 2] ^= 0xFF
+    path.write_bytes(bytes(blob))
+    with pytest.raises(RecoveryError):
+        read_snapshot(path)
 
 
 def test_checkpoint_roundtrip_restores_unseeded_rng(tmp_path):
@@ -212,15 +283,65 @@ def test_checkpoint_roundtrip_restores_unseeded_rng(tmp_path):
     )
 
 
+def _canonical(state):
+    """JSON image of a ``read_snapshot`` result, arrays as dtype, shape
+    and hex bytes: equal images mean bitwise-equal states."""
+
+    def array(obj):
+        if isinstance(obj, np.ndarray):
+            return [obj.dtype.str, list(obj.shape), obj.tobytes().hex()]
+        raise TypeError(f"unexpected {type(obj).__name__} in a checkpoint")
+
+    return json.dumps(state, sort_keys=True, default=array)
+
+
+#: Stride of the sweep through array data; every header byte is flipped.
+DATA_STRIDE = 17
+
+
 def test_read_snapshot_refuses_corrupt_checkpoint(tmp_path):
+    """Flip, one at a time, every byte of the zip directory, of each
+    member's local header and ``.npy`` header, and a stride of bytes
+    through the array data.  Each flip must raise ``RecoveryError`` or
+    load a state bitwise equal to the original — never a different
+    state (a directory flip can hide members, and with them arrays)."""
     registry, _ = _churned_registry()
     path = tmp_path / "ckpt-000001.npz"
     write_snapshot(path, registry.export_state())
-    blob = bytearray(path.read_bytes())
-    blob[len(blob) // 2] ^= 0xFF
-    path.write_bytes(bytes(blob))
-    with pytest.raises(RecoveryError):
-        read_snapshot(path)
+    blob = path.read_bytes()
+    original = _canonical(read_snapshot(path))
+
+    headers, data_bytes = set(), set()
+    directory = 0
+    with zipfile.ZipFile(path) as zf:
+        infos = zf.infolist()
+    for info in infos:
+        data = _member_data_start(blob, info)
+        end = data + info.compress_size
+        directory = max(directory, end)
+        npy_header = 10 + int.from_bytes(blob[data + 8 : data + 10], "little")
+        headers.update(range(info.header_offset, data + npy_header))
+        data_bytes.update(range(data + npy_header, end, DATA_STRIDE))
+    headers.update(range(directory, len(blob)))
+    assert len(headers) > len(blob) // 4
+
+    loaded = set()
+    for pos in sorted(headers | data_bytes):
+        bad = bytearray(blob)
+        bad[pos] ^= 0xFF
+        path.write_bytes(bytes(bad))
+        try:
+            state = read_snapshot(path)
+        except RecoveryError:
+            continue
+        assert _canonical(state) == original, (
+            f"flipping byte {pos} of {len(blob)} loaded a different state"
+        )
+        loaded.add(pos)
+    # Header flips may land in fields the loader never trusts (times,
+    # attributes, the local copies of directory fields); a flip in array
+    # data always fails its member's CRC.
+    assert not loaded & data_bytes
 
 
 # -- crash at every record boundary (the chaos ``recovery`` row) -------
