@@ -75,7 +75,10 @@ shard-smoke:
 
 # The repository benchmark's output checks at a small size: each workload
 # must exit 0 (every output check passed) with ok_frac 1.0.  No timing
-# gates.  Each stream round crosses a journal checkpoint.
+# gates.  Each stream round crosses a journal checkpoint.  Then one
+# traced batch run: the tracer wraps the Karp-Sipser entry points by
+# name (a renamed one fails the run), core.ks_ms must be positive, and
+# Karp-Sipser must not reach the pool (no ks_phase1_scan kernel calls).
 perfbench-smoke:
 	@mkdir -p .perfbench
 	@for w in batch serve stream; do \
@@ -86,6 +89,12 @@ perfbench-smoke:
 		tail -n 1 $$out | $(PYTHON) -c "import json, sys; sys.exit(json.load(sys.stdin)['metrics']['ok_frac']['value'] < 1.0)" \
 			|| { cat $$out; echo "perfbench-smoke: $$w ok_frac below 1.0"; exit 1; }; \
 	done
+	@out=.perfbench/smoke-batch-trace.out; \
+	timeout 300 $(PYTHON) perfbench/run.py --workload batch --seed 1 --seconds 4 --trace 1 > $$out \
+		|| { cat $$out; echo "perfbench-smoke: traced batch exited nonzero"; exit 1; }; \
+	tail -n 1 $$out; \
+	tail -n 1 $$out | $(PYTHON) -c "import json, sys; m = json.load(sys.stdin)['metrics']; sys.exit(not (m['core.ks_ms']['value'] > 0 and m['parallel.kernel_calls.ks_phase1_scan']['value'] == 0))" \
+		|| { cat $$out; echo "perfbench-smoke: traced batch needs core.ks_ms > 0 and no ks_phase1_scan calls"; exit 1; }
 
 experiments:
 	$(PYTHON) -m repro.experiments all --out results.json

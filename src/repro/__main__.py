@@ -232,11 +232,8 @@ def _kernel_bench_views(name, graph, rng):
     """Synthetic full-size views for micro-benching kernel *name*."""
     import numpy as np
 
-    from repro.matching.matching import NIL
-
     nrows, ncols = graph.nrows, graph.ncols
     nnz = int(graph.row_ptr[-1])
-    total = nrows + ncols
     if name == "sk_sweep":
         return ncols, {
             "ptr": graph.col_ptr, "ind": graph.row_ind,
@@ -264,20 +261,6 @@ def _kernel_bench_views(name, graph, rng):
             "draws": 1.0 - rng.random(nrows),
             "out": np.zeros(nrows, dtype=np.int64),
         }, None
-    if name == "ks_phase1_scan":
-        return nrows, {
-            "alive": np.ones(nrows, dtype=bool),
-            "in_count": np.zeros(nrows, dtype=np.int64),
-            "match": np.full(total, NIL, dtype=np.int64),
-            "choice": rng.integers(-1, total, size=total, dtype=np.int64),
-            "cand": np.zeros(nrows, dtype=bool),
-        }, None
-    if name == "ks_phase2_scan":
-        return ncols, {
-            "match": np.full(total, NIL, dtype=np.int64),
-            "choice": rng.integers(-1, total, size=total, dtype=np.int64),
-            "ok": np.zeros(ncols, dtype=bool),
-        }, {"nrows": nrows}
     if name == "auction_bid":
         return nrows, {
             "ptr": graph.row_ptr, "ind": graph.col_ind,

@@ -18,10 +18,15 @@ columns at ``nrows..nrows+ncols-1``.  ``choice[u] = NIL`` is allowed (an
 empty row/column has nothing to choose) — such vertices are isolated in
 the choice subgraph.
 
-Three engines share this logic:
+These engines share this logic:
 
-* :func:`karp_sipser_mt` — serial execution (the reference; also the
-  fastest in CPython);
+* :func:`karp_sipser_mt` — serial execution (the reference);
+* :func:`karp_sipser_mt_vectorized` and :func:`karp_sipser_mt_parallel`
+  — one in-process numpy round engine, the fast path for large
+  instances: each round consumes every current out-one vertex, and after
+  round 1 only Lemma 4's frontier is examined.  ``parallel`` is the name
+  ``two_sided_match(engine="parallel")`` calls; its backend drives
+  Sinkhorn–Knopp and choice sampling, not these rounds;
 * :func:`karp_sipser_mt_simulated` — p simulated threads under a
   :class:`~repro.parallel.simthread.SimScheduler`, using the atomic
   operations exactly where Algorithm 4 places them — this is how the
@@ -169,22 +174,25 @@ def _init_mark_deg(
 def matching_from_unified(
     match: IndexArray, nrows: int, ncols: int
 ) -> Matching:
-    """Convert a unified-id match array into a :class:`Matching`."""
-    row_match = np.full(nrows, NIL, dtype=np.int64)
-    col_match = np.full(ncols, NIL, dtype=np.int64)
-    rows_part = match[:nrows]
-    matched_rows = np.flatnonzero(rows_part != NIL)
-    row_match[matched_rows] = rows_part[matched_rows] - nrows
-    cols_part = match[nrows:]
-    matched_cols = np.flatnonzero(cols_part != NIL)
-    col_match[matched_cols] = cols_part[matched_cols]
-    # Cross-validate the two halves (a corrupted engine shows up here).
-    if not np.array_equal(
-        np.flatnonzero(row_match != NIL),
-        np.sort(col_match[col_match != NIL]),
+    """Convert a unified-id match array into a :class:`Matching`.
+
+    Raises :class:`MatchingError` unless every matched row points at a
+    column, every matched column at a row, and every partner points back
+    (``match[match[u]] == u``) — a corrupted engine shows up here.
+    """
+    matched = np.flatnonzero(match != NIL)
+    partner = match[matched]
+    if partner.size and (
+        partner.min() < 0
+        or partner.max() >= nrows + ncols
+        or np.any((matched < nrows) == (partner < nrows))
+        or not np.array_equal(match[partner], matched)
     ):
         raise MatchingError("unified match array is inconsistent")
-    return Matching(row_match, col_match)
+    matched_rows = matched[: np.searchsorted(matched, nrows)]
+    row_match = match[:nrows].copy()
+    row_match[matched_rows] -= nrows
+    return Matching(row_match, match[nrows:].copy())
 
 
 # ----------------------------------------------------------------------
@@ -258,8 +266,106 @@ def karp_sipser_mt(
 
 
 # ----------------------------------------------------------------------
-# Vectorized engine
+# Round-based engine (vectorized and parallel)
 # ----------------------------------------------------------------------
+def _out_one_rounds(
+    choice: IndexArray, nrows: int, ncols: int
+) -> tuple[IndexArray, int, int, int]:
+    """Algorithm 4 in data-parallel rounds.
+
+    Returns ``(match, rounds, phase1_pairs, phase2_pairs)``.  A round
+    takes every usable out-one vertex — one with a choice, chosen by no
+    unmatched vertex, unmatched itself and with an unmatched target — in
+    ascending order.  Candidates sharing a target are resolved by a
+    scatter: the last writer (the largest id) wins, the data-parallel
+    analogue of the CAS, and every candidate of the round leaves the
+    candidate pool.  Each matched target ``t`` takes its out-pointer
+    with it, so ``choice[t]`` loses an in-pointer.
+
+    Only round 1 scans every vertex.  Being matched and leaving the pool
+    are permanent and in-counts only fall, so a vertex can enter a later
+    round only when the previous round's decrements drive its in-count
+    to 0 — Lemma 4's frontier, at most one new out-one per consumed
+    vertex.  Such a vertex had an in-pointer in every earlier round, so
+    it never left the pool; the frontier is filtered by the other tests
+    (a choice, unmatched, an unmatched target) and sorted, so every
+    round sees exactly the candidates a full rescan
+    (:class:`repro.shard.reconcile.ReconcileState`) finds.
+    """
+    n = nrows + ncols
+    match = np.full(n, NIL, dtype=np.int64)
+    valid = choice != NIL
+    # in_count[u]: unmatched vertices whose choice is u.
+    in_count = np.bincount(choice[valid], minlength=n)
+    # One conflict-scatter buffer for the run.  It needs no reset: every
+    # target a scatter writes is matched by it, and later scatters touch
+    # only unmatched vertices.
+    winner_of = np.full(n, NIL, dtype=np.int64)
+    # Round 1: nothing is matched yet, so every target is usable.
+    cand = np.flatnonzero(valid & (in_count == 0))
+    rounds = phase1 = 0
+    while cand.size:
+        rounds += 1
+        targets = choice[cand]
+        winner_of[targets] = cand
+        won = winner_of[targets] == cand
+        w = cand[won]
+        t = targets[won]
+        match[w] = t
+        match[t] = w
+        phase1 += int(w.size)
+        nxt = choice[t]
+        nxt = nxt[nxt != NIL]
+        np.subtract.at(in_count, nxt, 1)
+        # The next frontier, de-duplicated by a sort: np.unique's hash
+        # path costs more here.
+        front = nxt[in_count[nxt] == 0]
+        front.sort()
+        first = np.ones(front.size, dtype=bool)
+        np.not_equal(front[1:], front[:-1], out=first[1:])
+        front = front[first]
+        target = choice[front]
+        keep = (target != NIL) & (match[front] == NIL)
+        keep[keep] = match[target[keep]] == NIL
+        cand = front[keep]
+
+    # Phase 2: residual cycles and 2-cliques via column choices (Lemma 3:
+    # the residual column choices are pairwise distinct; the scatter only
+    # keeps arbitrary inputs valid).
+    col_choice = choice[nrows:]
+    cu = np.flatnonzero((col_choice != NIL) & (match[nrows:] == NIL))
+    cv = col_choice[cu]
+    free = match[cv] == NIL
+    cu = cu[free] + nrows
+    cv = cv[free]
+    winner_of[cv] = cu
+    keep = winner_of[cv] == cu
+    cu = cu[keep]
+    cv = cv[keep]
+    match[cu] = cv
+    match[cv] = cu
+    return match, rounds, phase1, int(cu.size)
+
+
+def _round_engine(
+    engine: str, row_choice: IndexArray, col_choice: IndexArray
+) -> Matching:
+    """Run :func:`_out_one_rounds` in-process under *engine*'s telemetry."""
+    choice, nrows, ncols = unify_choices(row_choice, col_choice)
+    n = nrows + ncols
+    with _tm.span(f"karp_sipser_mt.{engine}", n=n) as sp:
+        match, rounds, phase1, phase2 = _out_one_rounds(choice, nrows, ncols)
+        result = matching_from_unified(match, nrows, ncols)
+        if _tm.enabled():
+            _record_stats(
+                engine,
+                KarpSipserMTStats(phase1, phase2, chains=-1, longest_chain=-1),
+            )
+            _tm.incr(f"ks_mt.{engine}.rounds", rounds)
+            sp.set(rounds=rounds, cardinality=phase1 + phase2)
+    return result
+
+
 def karp_sipser_mt_vectorized(
     row_choice: IndexArray,
     col_choice: IndexArray,
@@ -267,203 +373,33 @@ def karp_sipser_mt_vectorized(
     """Round-based numpy implementation of Algorithm 4.
 
     Phase 1 processes *all current out-one vertices per round* instead of
-    chasing chains one thread at a time: conflicts (several out-ones
-    choosing the same target) are resolved by a scatter (one survivor per
-    target — the data-parallel analogue of the CAS), and the in-pointer
-    counts of the consumed vertices' targets are decremented in bulk,
-    which exposes the next round's out-ones.  The number of rounds is the
+    chasing chains one thread at a time, resolving conflicts by a scatter
+    and exposing the next round's out-ones by bulk in-count decrements;
+    after round 1 only that frontier is examined, never the whole vertex
+    set (see :func:`_out_one_rounds`).  The number of rounds is the
     longest chain length (tiny on 1-out graphs), and each round is pure
     numpy — on large instances this engine is ~an order of magnitude
     faster than the Python-loop serial engine, with identical cardinality
     (it computes a maximum matching of the same choice subgraph; tests
     cross-check both).
     """
-    choice, nrows, ncols = unify_choices(row_choice, col_choice)
-    n = nrows + ncols
-    with _tm.span("karp_sipser_mt.vectorized", n=n) as sp:
-        rounds = 0
-        match = np.full(n, NIL, dtype=np.int64)
-
-        valid = choice != NIL
-        # in_count[u]: number of *unmatched* vertices currently choosing u.
-        in_count = np.zeros(n, dtype=np.int64)
-        np.add.at(in_count, choice[valid], 1)
-
-        # Vertices whose out-edge is still usable (target unmatched, self
-        # unmatched).  Candidates are out-ones: in_count == 0 among them.
-        alive = valid.copy()
-        while True:
-            candidates = np.flatnonzero(
-                alive & (in_count == 0) & (match == NIL)
-            )
-            if candidates.size:
-                targets = choice[candidates]
-                usable = match[targets] == NIL
-                candidates = candidates[usable]
-                targets = targets[usable]
-            if candidates.size == 0:
-                break
-            rounds += 1
-            # Scatter resolves conflicts: last writer per target survives.
-            winner_of = np.full(n, NIL, dtype=np.int64)
-            winner_of[targets] = candidates
-            winners = winner_of[targets] == candidates
-            w = candidates[winners]
-            t = targets[winners]
-            match[w] = t
-            match[t] = w
-            # Losers' out-edges are dead (their target is matched) — and so
-            # are they as chain continuations: mark not-alive so they do not
-            # re-enter candidates forever.
-            alive[candidates] = False
-            alive[w] = False
-            # Consumed targets' out-pointers die: decrement their targets'
-            # in-counts (skipping targets-of-targets that are now matched —
-            # matched vertices never become candidates anyway, but keeping
-            # counts exact preserves the out-one semantics for the rest).
-            t_next = choice[t]
-            t_has_next = t_next != NIL
-            np.subtract.at(in_count, t_next[t_has_next], 1)
-            # The matched winners' in-pointers also die for *their* targets?
-            # No: winners matched WITH their targets; their out-pointer went
-            # to the matched target, nothing else changes.  But other
-            # unmatched vertices pointing AT the winners keep pointing at a
-            # matched vertex — their edges are dead; decrementing is not
-            # needed because what matters is in_count of *unmatched* targets
-            # only (matched vertices never become candidates).
-
-        if _tm.enabled():
-            phase1_pairs = int(np.count_nonzero(match != NIL)) // 2
-
-        # Phase 2: residual cycles/2-cliques via column choices (Lemma 3:
-        # conflict-free among the residual columns).
-        cols = np.arange(nrows, n, dtype=np.int64)
-        v = choice[cols]
-        ok = (v != NIL) & (match[cols] == NIL)
-        ok[ok] &= match[v[ok]] == NIL
-        cu = cols[ok]
-        cv = v[ok]
-        # Residual column choices are pairwise distinct (cycle structure);
-        # a duplicate would indicate corrupted input — resolve by scatter
-        # anyway so arbitrary inputs still yield a valid matching.
-        winner_of = np.full(n, NIL, dtype=np.int64)
-        winner_of[cv] = cu
-        keep = winner_of[cv] == cu
-        match[cu[keep]] = cv[keep]
-        match[cv[keep]] = cu[keep]
-
-        result = matching_from_unified(match, nrows, ncols)
-        if _tm.enabled():
-            total_pairs = int(np.count_nonzero(match != NIL)) // 2
-            _record_stats(
-                "vectorized",
-                KarpSipserMTStats(
-                    phase1_pairs, total_pairs - phase1_pairs,
-                    chains=-1, longest_chain=-1,
-                ),
-            )
-            _tm.incr("ks_mt.vectorized.rounds", rounds)
-            sp.set(rounds=rounds, cardinality=total_pairs)
-    return result
+    return _round_engine("vectorized", row_choice, col_choice)
 
 
-# ----------------------------------------------------------------------
-# Backend-parallel engine
-# ----------------------------------------------------------------------
 def karp_sipser_mt_parallel(
     row_choice: IndexArray,
     col_choice: IndexArray,
-    *,
-    backend=None,
 ) -> Matching:
-    """Round-based Algorithm 4 with the scans on an execution backend.
+    """The ``engine="parallel"`` Karp–Sipser: the vectorized rounds.
 
-    Same rounds as :func:`karp_sipser_mt_vectorized`, but the per-round
-    candidate scan (Phase 1) and the residual-column scan (Phase 2) run
-    as registered kernels (``ks_phase1_scan`` / ``ks_phase2_scan``) —
-    the expensive full-array reads — while the cheap commits (conflict
-    scatter, in-count decrements, the actual match writes) stay in the
-    parent between rounds.  The kernels only write their own slice of a
-    mask array, so rounds are race-free by construction, and the result
-    is bitwise identical to the vectorized engine on every backend.
+    Runs the same in-process rounds as :func:`karp_sipser_mt_vectorized`
+    and returns a bitwise-identical matching; only its telemetry is
+    recorded under ``ks_mt.parallel``.  In ``two_sided_match`` the
+    backend drives Sinkhorn–Knopp and choice sampling.  The rounds stay
+    off it: a round after the first reads only its frontier, and copying
+    the round's writable arrays to a pool costs more than that.
     """
-    from repro.parallel.backends import get_backend
-    from repro.parallel.kernels import run_kernel
-
-    be = get_backend(backend)
-    choice, nrows, ncols = unify_choices(row_choice, col_choice)
-    n = nrows + ncols
-    with _tm.span(
-        "karp_sipser_mt.parallel", n=n, backend=be.label
-    ) as sp:
-        rounds = 0
-        match = np.full(n, NIL, dtype=np.int64)
-
-        valid = choice != NIL
-        in_count = np.zeros(n, dtype=np.int64)
-        np.add.at(in_count, choice[valid], 1)
-        alive = valid.copy()
-        cand = np.empty(n, dtype=bool)
-
-        while True:
-            run_kernel(
-                "ks_phase1_scan", n,
-                {"alive": alive, "in_count": in_count, "match": match,
-                 "choice": choice, "cand": cand},
-                backend=be,
-            )
-            candidates = np.flatnonzero(cand)
-            if candidates.size == 0:
-                break
-            rounds += 1
-            targets = choice[candidates]
-            # Scatter resolves conflicts: last writer per target survives
-            # (same resolution as the vectorized engine).
-            winner_of = np.full(n, NIL, dtype=np.int64)
-            winner_of[targets] = candidates
-            winners = winner_of[targets] == candidates
-            w = candidates[winners]
-            t = targets[winners]
-            match[w] = t
-            match[t] = w
-            alive[candidates] = False
-            alive[w] = False
-            t_next = choice[t]
-            t_has_next = t_next != NIL
-            np.subtract.at(in_count, t_next[t_has_next], 1)
-
-        if _tm.enabled():
-            phase1_pairs = int(np.count_nonzero(match != NIL)) // 2
-
-        if ncols:
-            ok = np.empty(ncols, dtype=bool)
-            run_kernel(
-                "ks_phase2_scan", ncols,
-                {"choice": choice, "match": match, "ok": ok},
-                scalars={"nrows": nrows},
-                backend=be,
-            )
-            cu = nrows + np.flatnonzero(ok)
-            cv = choice[cu]
-            winner_of = np.full(n, NIL, dtype=np.int64)
-            winner_of[cv] = cu
-            keep = winner_of[cv] == cu
-            match[cu[keep]] = cv[keep]
-            match[cv[keep]] = cu[keep]
-
-        result = matching_from_unified(match, nrows, ncols)
-        if _tm.enabled():
-            total_pairs = int(np.count_nonzero(match != NIL)) // 2
-            _record_stats(
-                "parallel",
-                KarpSipserMTStats(
-                    phase1_pairs, total_pairs - phase1_pairs,
-                    chains=-1, longest_chain=-1,
-                ),
-            )
-            _tm.incr("ks_mt.parallel.rounds", rounds)
-            sp.set(rounds=rounds, cardinality=total_pairs)
-    return result
+    return _round_engine("parallel", row_choice, col_choice)
 
 
 # ----------------------------------------------------------------------

@@ -100,13 +100,14 @@ def two_sided_match(
     seed:
         Randomness for the row and column choices.
     backend:
-        Parallel backend for scaling and choice sampling.
+        Parallel backend for scaling and choice sampling (Karp–Sipser
+        always runs in-process).
     engine:
         Karp–Sipser engine for the choice subgraph: ``"serial"``
         (reference), ``"vectorized"`` (round-based numpy — the fast path
-        for large instances), ``"parallel"`` (the vectorized rounds with
-        the phase scans on *backend* — bitwise identical to
-        ``"vectorized"``), ``"simulated"`` (*n_threads* simulated
+        for large instances), ``"parallel"`` (the same engine as
+        ``"vectorized"``, bitwise identical, with its telemetry under
+        ``ks_mt.parallel``), ``"simulated"`` (*n_threads* simulated
         threads under *sim_policy* interleaving — the concurrency-
         verification path), or ``"threaded"`` (real Python threads with
         locked atomics).
@@ -164,9 +165,7 @@ def two_sided_match(
         elif engine == "vectorized":
             matching = karp_sipser_mt_vectorized(row_choice, col_choice)
         elif engine == "parallel":
-            matching = karp_sipser_mt_parallel(
-                row_choice, col_choice, backend=be
-            )
+            matching = karp_sipser_mt_parallel(row_choice, col_choice)
         elif engine == "simulated":
             matching, stats = karp_sipser_mt_simulated(
                 row_choice,

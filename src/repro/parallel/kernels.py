@@ -1,7 +1,7 @@
 """Registered data-parallel kernels shared by every execution backend.
 
 The hot loops of the library — the Sinkhorn–Knopp column/row sweeps, the
-scaled 1-out choice sampling, and the ``KarpSipserMT`` phase scans — are
+scaled 1-out choice sampling, and the auction's bidding sweep — are
 *registered kernels*: named module-level functions with the signature
 ``fn(lo, hi, views)`` that read whole arrays from *views* and write only
 the ``[lo, hi)`` slice of their declared output arrays (plus a small
@@ -138,7 +138,7 @@ def kernel_chunk_override(chunk: int) -> Iterator[None]:
 
 
 #: Memoized chunk layouts keyed by ``(n, chunk)`` — the grid is pure in
-#: those two numbers, and hot callers (SK iterations, KS rounds, auction
+#: those two numbers, and hot callers (SK iterations, choice draws, auction
 #: sweeps, serve/stream epochs) rebuild the same layout thousands of
 #: times.  Bounded: the working set is a handful of (size, granularity)
 #: pairs per process.
@@ -379,33 +379,6 @@ def _choice_flat(lo: int, hi: int, v: Mapping[str, Any]) -> None:
 
 
 # ----------------------------------------------------------------------
-# KarpSipserMT phase scans
-# ----------------------------------------------------------------------
-@register_kernel("ks_phase1_scan", outputs=("cand",))
-def _ks_phase1_scan(lo: int, hi: int, v: Mapping[str, Any]) -> None:
-    """Mark this range's usable out-one vertices into ``cand[lo:hi]``.
-
-    A vertex is a candidate when it is alive, nothing unmatched points at
-    it, it is unmatched, and its chosen target is unmatched.  Reads are
-    scattered (``match`` at the targets) but writes stay in the slice, so
-    rounds are race-free; the commit (conflict scatter, in-count
-    decrements) happens in the parent between rounds.
-    """
-    cand = v["cand"]
-    cand[lo:hi] = False
-    match = v["match"]
-    idx = np.flatnonzero(
-        v["alive"][lo:hi]
-        & (v["in_count"][lo:hi] == 0)
-        & (match[lo:hi] == NIL)
-    )
-    if idx.size:
-        idx = idx + lo
-        idx = idx[match[v["choice"][idx]] == NIL]
-        cand[idx] = True
-
-
-# ----------------------------------------------------------------------
 # Auction bidding sweep
 # ----------------------------------------------------------------------
 
@@ -496,21 +469,3 @@ def _auction_bid(lo: int, hi: int, v: Mapping[str, Any]) -> None:
         val[ok] = base[ok] + v["eps"]
     v["bid_col"][lo:hi] = col
     v["bid_val"][lo:hi] = val
-
-
-@register_kernel("ks_phase2_scan", outputs=("ok",))
-def _ks_phase2_scan(lo: int, hi: int, v: Mapping[str, Any]) -> None:
-    """Mark residual columns ``[lo, hi)`` whose choice edge is matchable.
-
-    Phase 2 of Algorithm 4: after Phase 1 the column-choice edges of the
-    residual graph form a maximum matching of it (Lemma 3), so the scan
-    is conflict-free on valid inputs.  Column ``j`` is unified vertex
-    ``nrows + j``.
-    """
-    nrows = v["nrows"]
-    match = v["match"]
-    u = np.arange(nrows + lo, nrows + hi, dtype=np.int64)
-    t = v["choice"][u]
-    m = (t != NIL) & (match[u] == NIL)
-    m[m] &= match[t[m]] == NIL
-    v["ok"][lo:hi] = m

@@ -350,28 +350,6 @@ def _loop_choice_flat(lo, hi, ptr, ind, weights, draws, out):
     _pick_segments(lo, hi, ptr, ind, cum, draws, out)
 
 
-def _loop_ks_phase1_scan(lo, hi, alive, in_count, match, choice, cand):
-    n = match.shape[0]
-    for i in range(lo, hi):
-        ok = alive[i] and in_count[i] == 0 and match[i] == NIL
-        if ok:
-            t = choice[i]
-            if t < 0:  # numpy fancy indexing wraps NIL to match[-1]
-                t += n
-            ok = match[t] == NIL
-        cand[i] = ok
-
-
-def _loop_ks_phase2_scan(lo, hi, nrows, match, choice, ok_out):
-    for j in range(lo, hi):
-        u = nrows + j
-        t = choice[u]
-        m = t != NIL and match[u] == NIL
-        if m:
-            m = match[t] == NIL
-        ok_out[j] = m
-
-
 def _loop_auction_bid(lo, hi, ptr, ind, prices, eps, dead, bid_col, bid_val):
     for i in range(lo, hi):
         a = ptr[i]
@@ -411,8 +389,6 @@ _KERNEL_LOOPS = [
     "_loop_sk_sweep_err",
     "_loop_choice_scaled",
     "_loop_choice_flat",
-    "_loop_ks_phase1_scan",
-    "_loop_ks_phase2_scan",
     "_loop_auction_bid",
 ]
 
@@ -463,19 +439,6 @@ def _wrap_choice_flat(lo: int, hi: int, v: Mapping[str, Any]) -> None:
     )
 
 
-def _wrap_ks_phase1_scan(lo: int, hi: int, v: Mapping[str, Any]) -> None:
-    globals()["_loop_ks_phase1_scan"](
-        lo, hi, _ro(v["alive"]), _ro(v["in_count"]), _ro(v["match"]),
-        _ro(v["choice"]), v["cand"],
-    )
-
-
-def _wrap_ks_phase2_scan(lo: int, hi: int, v: Mapping[str, Any]) -> None:
-    globals()["_loop_ks_phase2_scan"](
-        lo, hi, int(v["nrows"]), _ro(v["match"]), _ro(v["choice"]), v["ok"]
-    )
-
-
 def _wrap_auction_bid(lo: int, hi: int, v: Mapping[str, Any]) -> None:
     globals()["_loop_auction_bid"](
         lo, hi, _ro(v["ptr"]), _ro(v["ind"]), _ro(v["prices"]),
@@ -504,8 +467,6 @@ _WRAPPERS: dict[str, Callable[[int, int, Mapping[str, Any]], Any]] = {
     "sk_sweep_err": _quiet(_wrap_sk_sweep_err),
     "choice_scaled": _quiet(_wrap_choice_scaled),
     "choice_flat": _quiet(_wrap_choice_flat),
-    "ks_phase1_scan": _wrap_ks_phase1_scan,
-    "ks_phase2_scan": _wrap_ks_phase2_scan,
     "auction_bid": _quiet(_wrap_auction_bid),
 }
 
@@ -572,24 +533,6 @@ def _probe_views(name: str) -> tuple[int, dict[str, Any], tuple[str, ...]]:
             "draws": 1.0 - rng.random(n),
             "out": np.zeros(n, dtype=np.int64),
         }, ("out",)
-    if name == "ks_phase1_scan":
-        match = rng.choice([NIL, 0, 3], size=n).astype(np.int64)
-        choice = rng.integers(-1, n, size=n, dtype=np.int64)
-        return n, {
-            "alive": rng.random(n) < 0.8,
-            "in_count": rng.integers(0, 2, size=n).astype(np.int64),
-            "match": match, "choice": choice,
-            "cand": np.zeros(n, dtype=bool),
-        }, ("cand",)
-    if name == "ks_phase2_scan":
-        nrows = 3
-        total = nrows + n
-        match = rng.choice([NIL, 1], size=total).astype(np.int64)
-        choice = rng.integers(-1, total, size=total, dtype=np.int64)
-        return n, {
-            "nrows": nrows, "match": match, "choice": choice,
-            "ok": np.zeros(n, dtype=bool),
-        }, ("ok",)
     if name == "auction_bid":
         prices = np.round(rng.random(ncols) * 4.0, 1)  # ties likely
         return n, {

@@ -1,11 +1,10 @@
 """Boundary reconciliation: Karp–Sipser as synchronous merge rounds.
 
-The serial reference is the vectorized multithreaded KS engine
-(:func:`repro.core.karp_sipser_mt.karp_sipser_mt_vectorized`): rounds of
-*scan all out-one vertices → last-writer-wins conflict resolution in
-ascending vertex order → commit + degree decrement*, then a one-shot
-column phase 2.  That engine is already a sequence of whole-array passes,
-so it shards naturally: each shard scans only its owned unified-id ranges
+The round-based KS engine runs rounds of *scan all out-one vertices →
+last-writer-wins conflict resolution in ascending vertex order → commit +
+degree decrement*, then a one-shot column phase 2.  In this full-scan
+form it is a sequence of whole-array passes, so it shards naturally:
+each shard scans only its owned unified-id ranges
 (its rows, then its columns — boundary edges included, since a choice may
 point into a foreign shard), the per-shard candidate lists are allgathered
 and concatenated in rank order — which *is* the serial ascending scan
@@ -16,7 +15,11 @@ The commit's last-writer-wins scatter in ascending candidate order is the
 deterministic tie order of the subsystem: it never consults shard ids, so
 the merged matching is independent of the shard count.  :class:`ReconcileState`
 is the single implementation of scan/commit used by the serial check, the
-in-process tier, and the daemon tier.
+in-process tier, and the daemon tier.  It keeps the full scan every round
+and is the reference for the single-process engine
+(:func:`repro.core.karp_sipser_mt.karp_sipser_mt_vectorized`), which
+after round 1 examines only Lemma 4's frontier and must still produce
+the same candidates, matching and round count bitwise.
 """
 
 from __future__ import annotations
@@ -31,14 +34,13 @@ __all__ = ["ReconcileState", "reconcile_rounds", "reconcile_serial"]
 
 
 class ReconcileState:
-    """Replicated state of the vectorized KS engine, driven in BSP rounds.
+    """Replicated state of the full-scan KS rounds, driven in BSP rounds.
 
     ``scan_range`` is the shard-local step (pure read); ``commit`` applies
     one merged round and is deterministic given the merged candidate list.
-    Splitting the engine at exactly this seam keeps every array operation
-    literally the serial engine's, so the final ``match`` array is bitwise
-    equal to :func:`karp_sipser_mt_vectorized` for any partition of the
-    scan axis.
+    Neither depends on where the scan axis is cut, so the final ``match``
+    array is bitwise equal to :func:`karp_sipser_mt_vectorized` for any
+    partition of the scan axis.
     """
 
     def __init__(self, choice: IndexArray, nrows: int, ncols: int) -> None:
@@ -165,8 +167,9 @@ def reconcile_serial(
     row_choice: IndexArray, col_choice: IndexArray
 ) -> tuple[Matching, int]:
     """Single-shard reference: drive :class:`ReconcileState` over the full
-    axis.  Exists so a test can pin the round loop to
-    :func:`karp_sipser_mt_vectorized` bitwise."""
+    axis.  Returns the matching and the round count that tests pin the
+    frontier engines behind :func:`karp_sipser_mt_vectorized` and
+    ``karp_sipser_mt_parallel`` to, bitwise."""
     state = ReconcileState.from_choices(row_choice, col_choice)
     ranges = [(0, state.nrows), (state.nrows, state.n)]
     while state.commit(

@@ -71,6 +71,22 @@ class TestUnify:
         with pytest.raises(MatchingError):
             matching_from_unified(bad, 2, 2)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            [3, 2, 0, 1],  # crossed: rows pick cols 1, 0; cols pick rows 0, 1
+            [1, 0, NIL, NIL],  # two rows matched to each other
+            [NIL, NIL, 3, 2],  # two columns matched to each other
+            [7, NIL, NIL, NIL],  # partner out of range
+            [-5, NIL, NIL, NIL],
+        ],
+    )
+    def test_matching_from_unified_detects_inconsistent_pairs(self, bad):
+        from repro.errors import MatchingError
+
+        with pytest.raises(MatchingError):
+            matching_from_unified(np.array(bad, dtype=np.int64), 2, 2)
+
 
 class TestChoiceGraph:
     def test_mutual_pair_single_edge(self):

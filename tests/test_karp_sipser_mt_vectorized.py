@@ -31,6 +31,18 @@ def choice_arrays(draw):
     return rc.astype(np.int64), cc.astype(np.int64)
 
 
+def chain_choices(n):
+    """One long chain (row i -> col i -> row i+1): n - 1 rounds."""
+    rc = np.arange(n, dtype=np.int64)
+    cc = np.minimum(np.arange(n, dtype=np.int64) + 1, n - 1)
+    return rc, cc
+
+
+def star_choices(n):
+    """n rows all choosing column 0, which chooses row 0."""
+    return np.zeros(n, dtype=np.int64), np.zeros(1, dtype=np.int64)
+
+
 class TestVectorizedEngine:
     @given(choice_arrays())
     @settings(max_examples=120, deadline=None)
@@ -52,10 +64,7 @@ class TestVectorizedEngine:
 
     def test_chain_heavy_instance(self):
         """A single long chain forces many rounds."""
-        n = 500
-        # rows i -> col i; col i -> row i+1 (last col self-consistent).
-        rc = np.arange(n, dtype=np.int64)
-        cc = np.minimum(np.arange(n, dtype=np.int64) + 1, n - 1)
+        rc, cc = chain_choices(500)
         g = choice_graph(rc, cc)
         m = karp_sipser_mt_vectorized(rc, cc)
         assert m.cardinality == hopcroft_karp(g).cardinality
@@ -84,9 +93,7 @@ class TestVectorizedEngine:
     def test_star_contention(self):
         """Many rows choosing one column: exactly one pair matched plus
         whatever the column's own choice allows."""
-        n = 50
-        rc = np.zeros(n, dtype=np.int64)
-        cc = np.full(1, 0, dtype=np.int64)
+        rc, cc = star_choices(50)
         m = karp_sipser_mt_vectorized(rc, cc)
         g = choice_graph(rc, cc)
         assert m.cardinality == hopcroft_karp(g).cardinality == 1

@@ -149,37 +149,6 @@ class TestBitwiseIdentityProperties:
         _, v_np, _, v_nat = _run_both("choice_flat", lo, hi, views)
         _assert_outputs_equal("choice_flat", v_np, v_nat)
 
-    @given(data=csr_inputs())
-    @settings(max_examples=60, deadline=None)
-    def test_ks_phase1_scan(self, data):
-        ptr, ind, opp, rng, lo, hi = data
-        n = ptr.shape[0] - 1
-        views = {
-            "alive": rng.random(n) < 0.7,
-            "in_count": rng.integers(0, 2, size=n).astype(np.int64),
-            "match": rng.choice([NIL, 0, n - 1], size=n).astype(np.int64),
-            "choice": rng.integers(-1, n, size=n, dtype=np.int64),
-            "cand": np.zeros(n, dtype=bool),
-        }
-        _, v_np, _, v_nat = _run_both("ks_phase1_scan", lo, hi, views)
-        _assert_outputs_equal("ks_phase1_scan", v_np, v_nat)
-
-    @given(data=csr_inputs())
-    @settings(max_examples=60, deadline=None)
-    def test_ks_phase2_scan(self, data):
-        ptr, ind, opp, rng, lo, hi = data
-        n = ptr.shape[0] - 1
-        nrows = int(rng.integers(0, 4))
-        total = nrows + n
-        views = {
-            "nrows": nrows,
-            "match": rng.choice([NIL, 0], size=total).astype(np.int64),
-            "choice": rng.integers(-1, total, size=total, dtype=np.int64),
-            "ok": np.zeros(n, dtype=bool),
-        }
-        _, v_np, _, v_nat = _run_both("ks_phase2_scan", lo, hi, views)
-        _assert_outputs_equal("ks_phase2_scan", v_np, v_nat)
-
     @given(data=csr_inputs(), eps=st.floats(1e-9, 2.0),
            dead_q=st.floats(0.0, 1.5))
     @settings(max_examples=60, deadline=None)

@@ -9,8 +9,10 @@ The matrix below proves it per generator family at K ∈ {1, 2, 4}, plus:
 * partition invariants — chunk-aligned deterministic bounds, frontier
   edges really cross ownership, ``plan_for_budget`` finds the smallest
   K under a per-shard memory cap and the capped plan still matches;
-* the reconcile round loop pinned bitwise to
-  :func:`karp_sipser_mt_vectorized` (its serial ancestor);
+* the round engines behind ``engine="vectorized"`` and
+  ``engine="parallel"``, which after round 1 follow only the out-one
+  frontier, pinned bitwise (matching and round count) to reconcile's
+  full-scan rounds;
 * the daemon tier — shard verbs through a live :class:`Dispatcher`, the
   full coordinator over a subprocess router fleet (bitwise vs the sim
   tier), and a SIGKILL of a shard daemon mid-round recovering to the
@@ -25,10 +27,15 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from repro import telemetry
 from repro.core import two_sided_match
-from repro.core.karp_sipser_mt import karp_sipser_mt_vectorized
+from repro.core.choice import scaled_col_choices, scaled_row_choices
+from repro.core.karp_sipser_mt import (
+    karp_sipser_mt_parallel,
+    karp_sipser_mt_vectorized,
+)
 from repro.errors import (
     ConvergenceWarning,
     PartitionedError,
@@ -52,6 +59,11 @@ from repro.shard import (
     plan_shards,
     reconcile_serial,
     shard_match,
+)
+from tests.test_karp_sipser_mt_vectorized import (
+    chain_choices,
+    choice_arrays,
+    star_choices,
 )
 
 pytestmark = pytest.mark.shard
@@ -175,7 +187,28 @@ def test_capped_rung_warns_like_serial():
 
 
 # ---------------------------------------------------------------------------
-# reconcile pinned to its serial ancestor
+# the frontier round engines pinned to reconcile's full-scan rounds
+
+
+def _assert_round_engines_match_reconcile(rc, cc):
+    """Both round engines equal ``reconcile_serial`` bitwise, rounds too."""
+    matching, rounds = reconcile_serial(rc, cc)
+    for name, engine in (
+        ("vectorized", karp_sipser_mt_vectorized),
+        ("parallel", karp_sipser_mt_parallel),
+    ):
+        with telemetry.session() as reg:
+            got = engine(rc, cc)
+        np.testing.assert_array_equal(got.row_match, matching.row_match)
+        np.testing.assert_array_equal(got.col_match, matching.col_match)
+        assert reg.counter(f"ks_mt.{name}.rounds").value == rounds
+    return rounds
+
+
+@given(choice_arrays())
+@settings(max_examples=200, deadline=None)
+def test_round_engines_match_reconcile(arrays):
+    _assert_round_engines_match_reconcile(*arrays)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -186,11 +219,21 @@ def test_reconcile_matches_vectorized_karp_sipser(seed):
     cc = rng.integers(0, nrows, size=ncols).astype(np.int64)
     rc[rng.random(nrows) < 0.2] = NIL
     cc[rng.random(ncols) < 0.2] = NIL
-    matching, rounds = reconcile_serial(rc, cc)
-    ref = karp_sipser_mt_vectorized(rc, cc)
-    np.testing.assert_array_equal(matching.row_match, ref.row_match)
-    np.testing.assert_array_equal(matching.col_match, ref.col_match)
-    assert rounds >= 1
+    assert _assert_round_engines_match_reconcile(rc, cc) >= 1
+
+
+def test_round_engines_match_reconcile_on_chain_and_star():
+    assert _assert_round_engines_match_reconcile(*chain_choices(500)) == 499
+    assert _assert_round_engines_match_reconcile(*star_choices(50)) == 1
+
+
+def test_round_engines_match_reconcile_at_scale():
+    g = sprand(200_000, 4.0, seed=5)
+    scaling = scale_sinkhorn_knopp(g, 5)
+    rng = np.random.default_rng(5)
+    rc = scaled_row_choices(g, scaling.dr, scaling.dc, rng)
+    cc = scaled_col_choices(g, scaling.dr, scaling.dc, rng)
+    assert _assert_round_engines_match_reconcile(rc, cc) > 2
 
 
 # ---------------------------------------------------------------------------
