@@ -79,6 +79,9 @@ shard-smoke:
 # traced batch run: the tracer wraps the Karp-Sipser entry points by
 # name (a renamed one fails the run), core.ks_ms must be positive, and
 # Karp-Sipser must not reach the pool (no ks_phase1_scan kernel calls).
+# Then one traced serve run: the tracer wraps build_graph, Router.request
+# and the ResilientBackend map methods by name, so each of their layers
+# must read above zero rather than silently vanish after a rename.
 perfbench-smoke:
 	@mkdir -p .perfbench
 	@for w in batch serve stream; do \
@@ -95,6 +98,12 @@ perfbench-smoke:
 	tail -n 1 $$out; \
 	tail -n 1 $$out | $(PYTHON) -c "import json, sys; m = json.load(sys.stdin)['metrics']; sys.exit(not (m['core.ks_ms']['value'] > 0 and m['parallel.kernel_calls.ks_phase1_scan']['value'] == 0))" \
 		|| { cat $$out; echo "perfbench-smoke: traced batch needs core.ks_ms > 0 and no ks_phase1_scan calls"; exit 1; }
+	@out=.perfbench/smoke-serve-trace.out; \
+	timeout 300 $(PYTHON) perfbench/run.py --workload serve --seed 1 --seconds 4 --trace 1 > $$out \
+		|| { cat $$out; echo "perfbench-smoke: traced serve exited nonzero"; exit 1; }; \
+	tail -n 1 $$out; \
+	tail -n 1 $$out | $(PYTHON) -c "import json, sys; m = json.load(sys.stdin)['metrics']; sys.exit(not all(m[k]['value'] > 0 for k in ('serve.router.self_ms', 'serve.daemon.build_graph_ms', 'core.two_sided_ms', 'resilience.map_calls')))" \
+		|| { cat $$out; echo "perfbench-smoke: traced serve needs serve.router.self_ms, serve.daemon.build_graph_ms, core.two_sided_ms and resilience.map_calls > 0"; exit 1; }
 
 experiments:
 	$(PYTHON) -m repro.experiments all --out results.json

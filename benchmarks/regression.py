@@ -100,14 +100,13 @@ SIZES = {
     "auction_cold": (120_000, 8_000),
     "auction_warm": (120_000, 8_000),
     # Native kernel tier: the kernel-bound workloads re-timed under the
-    # numpy tier and under the native tier on the serial backend.  All
-    # three are informational (no "seconds" key — they never gate): the
+    # numpy tier and under the native tier on the serial backend.  Both
+    # are informational (no "seconds" key — they never gate): the
     # 5x bar is the aspiration for JIT-compiled loops at this size, and
     # on hosts without numba the native tier falls back to the bitwise
     # identical numpy kernels, so the honest ratio is ~1x with
     # ``"numba": false`` recorded alongside (see docs/performance.md).
     "native_sk": (120_000, 8_000),
-    "native_ks": (120_000, 8_000),
     "native_auction_cold": (120_000, 8_000),
     # Network front: request count for the framed unix-socket roundtrip
     # loop through SocketServer + ResilientClient.  Informational (no
@@ -631,17 +630,6 @@ def run_workloads(smoke: bool, backend_spec: str = "serial") -> dict[str, dict]:
         record_native(
             "native_sk", n,
             lambda: scale_sinkhorn_knopp(g, 5, backend=native_be),
-        )
-
-        n = SIZES["native_ks"][idx]
-        g = sprand(n, 4.0, seed=0)
-        sc = scale_sinkhorn_knopp(g, 5)
-        record_native(
-            "native_ks", n,
-            lambda: two_sided_match(
-                g, scaling=sc, seed=1, engine="parallel",
-                backend=native_be,
-            ),
         )
 
         n = SIZES["native_auction_cold"][idx]

@@ -2,11 +2,12 @@
 
 The wrapper owns chunk execution instead of delegating whole calls to the
 inner backend: each range runs as an independently supervised *attempt*
-(a forked child for a :class:`~repro.parallel.ProcessBackend` inner, a
-daemon thread otherwise), so one failed or stalled chunk can be retried
-alone while the other chunks' results are kept — exploiting the library
-convention that kernels *return* their slice rather than mutate shared
-state.
+(a forked child for a :class:`~repro.parallel.ProcessBackend` inner,
+otherwise a daemon thread reused from a
+:class:`~repro.resilience.deadline.RunnerPool`), so one failed or
+stalled chunk can be retried alone while the other chunks' results are
+kept — exploiting the library convention that kernels *return* their
+slice rather than mutate shared state.
 
 Failure handling:
 
@@ -41,7 +42,7 @@ Telemetry: every fault, failure, retry, and recovery increments a
 is reconstructable from the event trace alone.
 
 Composing with :class:`~repro.parallel.SharedMemoryBackend`
-(``"resilient:shm"``): attempts run on supervisor-owned threads rather
+(``"resilient:shm"``): attempts run on the wrapper's runner threads rather
 than the inner pool's pre-forked workers (a retry closure cannot be
 shipped to a worker that only executes registered kernels), so the
 wrapper provides the retry/deadline contract while kernels still write
@@ -52,6 +53,7 @@ from __future__ import annotations
 
 import threading
 import time
+import weakref
 from typing import Any
 
 from repro import telemetry as _tm
@@ -70,7 +72,7 @@ from repro.parallel.backends import (
 )
 from repro.resilience import faults as _faults
 from repro.resilience.backoff import BackoffPolicy
-from repro.resilience.deadline import Deadline, current_deadline
+from repro.resilience.deadline import Deadline, RunnerPool, current_deadline
 
 __all__ = ["ResilientBackend"]
 
@@ -168,6 +170,8 @@ class ResilientBackend(Backend):
         # keep side effects in the child.  The kernel dispatcher
         # (:func:`repro.parallel.kernels.run_kernel`) keys off this.
         self.shares_memory = not self._fork
+        self._runners = RunnerPool("resilient-attempt")
+        weakref.finalize(self, self._runners.close)
 
     # -- public surface ------------------------------------------------
 
@@ -218,9 +222,11 @@ class ResilientBackend(Backend):
         return results
 
     def close(self) -> None:
+        self._runners.close()
         self.inner.close()
 
     def drain(self, timeout: float | None = None) -> bool:
+        self._runners.close()
         return self.inner.drain(timeout)
 
     def healthy(self) -> bool:
@@ -364,30 +370,18 @@ class ResilientBackend(Backend):
     def _attempt_thread(
         self, fn: RangeFn, lo: int, hi: int, spec, deadline: float
     ) -> Any:
-        """One attempt on a dedicated daemon thread, joined with timeout."""
-        box: dict[str, Any] = {}
-
-        def run() -> None:
-            try:
-                box["result"] = _faults.execute_with_fault(
-                    spec, fn, lo, hi, in_child=False
-                )
-            except BaseException as exc:  # noqa: BLE001 - reported below
-                box["error"] = exc
-
-        worker = threading.Thread(
-            target=run, name=f"resilient-attempt-{lo}-{hi}", daemon=True
+        """One attempt on a reused runner thread, joined with timeout."""
+        call = self._runners.start(
+            lambda: _faults.execute_with_fault(
+                spec, fn, lo, hi, in_child=False
+            )
         )
-        worker.start()
-        worker.join(deadline)
-        if worker.is_alive():
+        if not call.join(deadline):
             raise DeadlineExceededError(
                 f"range [{lo}, {hi}) exceeded the {deadline:.3g}s "
                 f"deadline (worker thread abandoned)"
             )
-        if "error" in box:
-            raise box["error"]
-        return box["result"]
+        return call.result()
 
     def _attempt_fork(
         self, fn: RangeFn, lo: int, hi: int, spec, deadline: float

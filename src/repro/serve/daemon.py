@@ -28,9 +28,10 @@ Streaming requests work against a *handle* to a server-side
 ``StreamError`` when the graph has moved past the epoch the client
 thinks it is at, instead of silently answering for a newer state.
 
-Graph specs (``graph``) are cached by their JSON key (LRU-bounded — see
-*graph_cache_cap*), so a client can re-submit the same spec without
-rebuilding it server-side:
+Graph specs (``graph``) are cached by :func:`graph_key` (LRU-bounded —
+see *graph_cache_cap*), so a client can re-submit the same spec without
+rebuilding it server-side.  COO specs are keyed by a SHA-256 digest of
+their arrays, the others by their canonical JSON:
 
 * ``{"kind": "sprand", "n": 1000, "degree": 4.0, "seed": 0}``
 * ``{"kind": "union", "n": 1000, "k": 3, "seed": 0}``
@@ -48,6 +49,7 @@ rung / guarantee / degradation provenance.  EOF on stdin (or a
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import json
 import sys
 import threading
@@ -65,6 +67,7 @@ from repro.serve.server import MatchingServer, MatchRequest, ServerConfig
 __all__ = [
     "serve_forever",
     "build_graph",
+    "graph_key",
     "Dispatcher",
     "GraphCache",
     "BROKEN_PIPE_EXIT",
@@ -128,7 +131,7 @@ def _coo_indices(value: Any, field: str) -> np.ndarray:
             f"COO field {field!r} must contain integers only, got"
             f" dtype {arr.dtype}"
         )
-    return arr.astype(np.int64)
+    return arr.astype(np.int64, copy=False)
 
 
 def _coo_dim(spec: dict, field: str) -> int:
@@ -143,15 +146,78 @@ def _coo_dim(spec: dict, field: str) -> int:
     return value
 
 
+def _is_coo(spec: Any) -> bool:
+    """True when :func:`build_graph` reads *spec* as inline COO."""
+    return (
+        isinstance(spec, dict)
+        and "path" not in spec
+        and spec.get("kind") not in ("sprand", "union")
+        and "rows" in spec
+        and "cols" in spec
+    )
+
+
+def _coo_arrays(spec: dict) -> tuple[int, int, np.ndarray, np.ndarray]:
+    """Validate an inline COO spec into ``(nrows, ncols, rows, cols)``."""
+    nrows = _coo_dim(spec, "nrows")
+    ncols = _coo_dim(spec, "ncols")
+    rows = _coo_indices(spec["rows"], "rows")
+    cols = _coo_indices(spec["cols"], "cols")
+    if rows.shape[0] != cols.shape[0]:
+        raise ServiceError(
+            f"COO fields 'rows' and 'cols' differ in length:"
+            f" {rows.shape[0]} vs {cols.shape[0]}"
+        )
+    return nrows, ncols, rows, cols
+
+
+def _coo_key(
+    nrows: int, ncols: int, rows: np.ndarray, cols: np.ndarray
+) -> str:
+    # The header fixes the shape and where 'rows' ends, so swapping the
+    # two fields or resizing the graph changes the digest.
+    digest = hashlib.sha256(f"{nrows},{ncols},{rows.shape[0]};".encode())
+    digest.update(np.ascontiguousarray(rows))
+    digest.update(np.ascontiguousarray(cols))
+    return f"coo:{digest.hexdigest()}"
+
+
+def _json_key(spec: Any) -> str:
+    return json.dumps(spec, sort_keys=True, default=str)
+
+
+def graph_key(spec: Any) -> str:
+    """The cache and routing key of a daemon graph *spec*.
+
+    An inline COO spec is keyed by SHA-256 over its shape, its edge
+    count and the int64 bytes of ``rows`` and ``cols``, so equal
+    content gives one key whatever the dict's key order, extra fields
+    or integer types.  ``path`` and ``kind`` specs keep their canonical
+    JSON.  A spec that is not valid COO falls back to canonical JSON
+    without raising: :func:`build_graph` reports its typed error.
+    """
+    if _is_coo(spec):
+        try:
+            return _coo_key(*_coo_arrays(spec))
+        except ServiceError:
+            pass
+    return _json_key(spec)
+
+
 def build_graph(
     spec: Any, cache: "GraphCache | dict[str, BipartiteGraph] | None" = None
 ) -> BipartiteGraph:
-    """Materialise a graph from a daemon *spec* (see module docstring)."""
+    """Materialise a graph from a daemon *spec* (see module docstring).
+
+    Graphs are cached under :func:`graph_key`.  An inline COO spec is
+    validated first, and a miss builds from the same arrays.
+    """
     if not isinstance(spec, dict):
         raise ServiceError(
             f"graph spec must be an object, got {type(spec).__name__}"
         )
-    key = json.dumps(spec, sort_keys=True)
+    coo = _coo_arrays(spec) if _is_coo(spec) else None
+    key = _json_key(spec) if coo is None else _coo_key(*coo)
     if cache is not None and key in cache:
         return cache[key]
     if "path" in spec:
@@ -178,19 +244,10 @@ def build_graph(
         graph = union_of_permutations(
             int(spec["n"]), int(spec.get("k", 3)), seed=spec.get("seed")
         )
-    elif "rows" in spec and "cols" in spec:
+    elif coo is not None:
         from repro.graph.build import from_edges
 
-        nrows = _coo_dim(spec, "nrows")
-        ncols = _coo_dim(spec, "ncols")
-        rows = _coo_indices(spec["rows"], "rows")
-        cols = _coo_indices(spec["cols"], "cols")
-        if rows.shape[0] != cols.shape[0]:
-            raise ServiceError(
-                f"COO fields 'rows' and 'cols' differ in length:"
-                f" {rows.shape[0]} vs {cols.shape[0]}"
-            )
-        graph = from_edges(nrows, ncols, rows, cols)
+        graph = from_edges(*coo)
     else:
         raise ServiceError(
             "graph spec needs 'path', 'kind' in {'sprand', 'union'}, or "

@@ -9,13 +9,16 @@ fronts them behind one :meth:`Router.request` call:
   hash ring: a flooding tenant is shed with a typed
   :class:`~repro.errors.QuotaExceededError` without costing a network
   round-trip or displacing other tenants.
-* **Routing** — graph ids and stream sessions are placed on a
+* **Routing** — graph keys and stream sessions are placed on a
   consistent-hash ring (SHA-1, *vnodes* virtual nodes per daemon), so
-  the same graph spec always lands on the same daemon — its spec→graph
-  cache stays hot — and adding a daemon moves only ``1/N`` of the key
-  space.  Stream handles are namespaced ``"<node>:<handle>"`` on the
-  way out and resolved back on the way in, pinning a session to the
-  daemon holding its state.
+  the same graph always lands on the same daemon — its graph cache
+  stays hot — and adding a daemon moves only ``1/N`` of the key
+  space.  The key is the daemon cache's own
+  :func:`~repro.serve.daemon.graph_key`: a SHA-256 digest of an inline
+  COO spec's arrays, canonical JSON for ``path`` and ``kind`` specs.
+  Stream handles are namespaced ``"<node>:<handle>"`` on the way out
+  and resolved back on the way in, pinning a session to the daemon
+  holding its state.
 * **Failover** — a health loop probes every daemon (hedged probes via
   :meth:`~repro.serve.net.ResilientClient.probe`); a dead or wedged
   daemon is ejected from the ring, SIGKILLed if still running, and
@@ -37,7 +40,6 @@ from __future__ import annotations
 import bisect
 import contextlib
 import hashlib
-import json
 import os
 import subprocess
 import sys
@@ -52,6 +54,7 @@ from repro.errors import (
     StreamError,
     TransportError,
 )
+from repro.serve.daemon import graph_key
 from repro.serve.net import ResilientClient
 from repro.serve.quota import TenantQuotas
 
@@ -436,20 +439,14 @@ class Router:
                 node = self._node_by_name(name)
                 msg["handle"] = local
             elif op in ("match", "stream_open"):
-                key = json.dumps(
-                    msg.get("graph"), sort_keys=True, default=str
-                )
-                node = self._route(key)
+                node = self._route(graph_key(msg.get("graph")))
             elif op == "shard_open":
                 # Same graph, different shard index → different ring key,
                 # so a K-shard plan spreads across daemons instead of
                 # stacking K sessions on the spec's cache-affinity node.
-                key = json.dumps(
-                    {"graph": msg.get("graph"), "shard": msg.get("index")},
-                    sort_keys=True,
-                    default=str,
+                node = self._route(
+                    f"{graph_key(msg.get('graph'))}#{msg.get('index')}"
                 )
-                node = self._route(key)
             else:
                 node = self._route(msg["rid"])
             response = self._forward(node, msg, deadline)

@@ -42,6 +42,7 @@ from __future__ import annotations
 import itertools
 import threading
 import time
+import weakref
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable
@@ -61,7 +62,7 @@ from repro.errors import (
 from repro.graph.csr import BipartiteGraph
 from repro.matching.matching import Matching
 from repro.parallel.backends import Backend, default_worker_count, get_backend
-from repro.resilience.deadline import Deadline, request_deadline
+from repro.resilience.deadline import Deadline, RunnerPool, request_deadline
 from repro.resilience.resilient import ResilientBackend
 from repro.serve.admission import AdmissionQueue
 from repro.serve.breaker import BreakerState, CircuitBreaker
@@ -366,6 +367,8 @@ class MatchingServer:
         self._miss_lock = threading.Lock()
         self._inflight = 0
         self._idle = threading.Condition()
+        self._runners = RunnerPool("serve-rung")
+        weakref.finalize(self, self._runners.close)
         self._workers = [
             threading.Thread(
                 target=self._worker_loop,
@@ -531,6 +534,7 @@ class MatchingServer:
                         f"down before it ran"
                     )
                 )
+            self._runners.close()
             if self._owns_backend:
                 self._backend.drain()
             self._closed = True
@@ -671,86 +675,67 @@ class MatchingServer:
     def _run_rung(
         self, rung: str, request: MatchRequest, budget: Deadline
     ) -> tuple[Matching, float, str | None]:
-        """One rung attempt on a dedicated thread, bounded by *budget*.
+        """One rung attempt on a reused runner thread, bounded by *budget*.
 
-        The runner thread installs the request budget thread-locally, so
-        the resilient backend caps every chunk attempt and backoff to the
+        The runner installs the request budget thread-locally, so the
+        resilient backend caps every chunk attempt and backoff to the
         remaining time; the join below additionally bounds code outside
         the backend (e.g. the ``greedy`` rung's serial loop), which is
         abandoned on expiry like a resilient thread attempt.
         """
         remaining = budget.remaining()
-        box: dict[str, Any] = {}
 
-        def run() -> None:
-            try:
-                with request_deadline(budget):
-                    if rung == "exact":
-                        from repro.core.twosided import two_sided_match
+        def run() -> tuple[Matching, float, str | None]:
+            with request_deadline(budget):
+                if rung == "exact":
+                    from repro.core.twosided import two_sided_match
 
-                        res = two_sided_match(
-                            request.graph,
-                            request.iterations,
-                            seed=request.seed,
-                            backend=self._backend,
-                            engine="vectorized",
-                            quality="exact",
-                        )
-                        box["out"] = (
-                            res.matching, res.guarantee, res.scaling.rung
-                        )
-                    elif rung == "two_sided":
-                        from repro.core.twosided import two_sided_match
+                    res = two_sided_match(
+                        request.graph,
+                        request.iterations,
+                        seed=request.seed,
+                        backend=self._backend,
+                        engine="vectorized",
+                        quality="exact",
+                    )
+                    return res.matching, res.guarantee, res.scaling.rung
+                if rung == "two_sided":
+                    from repro.core.twosided import two_sided_match
 
-                        res = two_sided_match(
-                            request.graph,
-                            request.iterations,
-                            seed=request.seed,
-                            backend=self._backend,
-                            engine="vectorized",
-                        )
-                        box["out"] = (
-                            res.matching, res.guarantee, res.scaling.rung
-                        )
-                    elif rung == "one_sided":
-                        from repro.core.onesided import one_sided_match
+                    res = two_sided_match(
+                        request.graph,
+                        request.iterations,
+                        seed=request.seed,
+                        backend=self._backend,
+                        engine="vectorized",
+                    )
+                    return res.matching, res.guarantee, res.scaling.rung
+                if rung == "one_sided":
+                    from repro.core.onesided import one_sided_match
 
-                        res = one_sided_match(
-                            request.graph,
-                            request.iterations,
-                            seed=request.seed,
-                            backend=self._backend,
-                        )
-                        box["out"] = (
-                            res.matching, res.guarantee, res.scaling.rung
-                        )
-                    else:
-                        from repro.matching.heuristics.greedy import (
-                            greedy_edge_matching,
-                        )
+                    res = one_sided_match(
+                        request.graph,
+                        request.iterations,
+                        seed=request.seed,
+                        backend=self._backend,
+                    )
+                    return res.matching, res.guarantee, res.scaling.rung
+                from repro.matching.heuristics.greedy import (
+                    greedy_edge_matching,
+                )
 
-                        matching = greedy_edge_matching(
-                            request.graph, seed=request.seed
-                        )
-                        box["out"] = (
-                            matching, RUNG_GUARANTEES["greedy"], None
-                        )
-            except BaseException as exc:  # noqa: BLE001 - reported below
-                box["error"] = exc
+                matching = greedy_edge_matching(
+                    request.graph, seed=request.seed
+                )
+                return matching, RUNG_GUARANTEES["greedy"], None
 
-        runner = threading.Thread(
-            target=run, name=f"serve-rung-{rung}", daemon=True
-        )
-        runner.start()
-        runner.join(remaining)
-        if runner.is_alive():
+        call = self._runners.start(run)
+        if not call.join(remaining):
             raise DeadlineExceededError(
                 f"rung {rung!r} exceeded the request's remaining "
                 f"{remaining:.3g}s budget (runner abandoned)"
             )
-        if "error" in box:
-            raise box["error"]
-        return box["out"]
+        return call.result()
 
     # -- ladder pressure ----------------------------------------------
 

@@ -39,6 +39,7 @@ from repro.serve.daemon import (
     Dispatcher,
     GraphCache,
     _StreamRegistry,
+    graph_key,
     serve_forever,
 )
 from repro.serve.net import (
@@ -517,6 +518,39 @@ def test_router_namespaces_and_validates_handles(tmp_path):
         router.request({"op": "rematch", "handle": "s1"})
     with pytest.raises(StreamError, match="unknown daemon"):
         router.request({"op": "rematch", "handle": "n9:s1"})
+
+
+def test_router_routes_graphs_by_graph_key(tmp_path, monkeypatch):
+    # Routing only: the daemons are never started, the forward is stubbed.
+    from repro.serve.router import Router
+
+    router = Router(2, str(tmp_path / "rt"), health_interval=0.0)
+    keys = []
+    route = router._route
+    monkeypatch.setattr(
+        router, "_route", lambda key: keys.append(key) or route(key)
+    )
+    monkeypatch.setattr(
+        router, "_forward", lambda node, msg, deadline: {"ok": True}
+    )
+    coo = {"nrows": 3, "ncols": 3, "rows": [0, 1, 2], "cols": [2, 0, 1]}
+    same = {"cols": [2, 0, 1], "rows": [0, 1, 2], "ncols": 3, "nrows": 3,
+            "label": "an unknown field"}
+    malformed = {**coo, "rows": [0]}
+    router.request({"op": "match", "graph": coo})
+    router.request({"op": "stream_open", "graph": same})
+    router.request({"op": "shard_open", "graph": coo, "index": 1})
+    router.request({"op": "match", "graph": GRAPH})
+    router.request({"op": "match", "graph": malformed})
+    key = graph_key(coo)
+    assert key.startswith("coo:")
+    assert keys == [
+        key,
+        key,
+        f"{key}#1",
+        json.dumps(GRAPH, sort_keys=True),
+        json.dumps(malformed, sort_keys=True),
+    ]
 
 
 def test_serve_listen_cli_roundtrip(tmp_path):

@@ -3,6 +3,11 @@ backend wrapper, and their telemetry."""
 
 from __future__ import annotations
 
+import gc
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -320,6 +325,138 @@ class TestResilientBackend:
             assert be.map_ranges(_identity_range, 0) == []
         finally:
             be.close()
+
+
+def _count_thread_starts(monkeypatch) -> list[str]:
+    """Record the name of every thread started from now on."""
+    names: list[str] = []
+    start = threading.Thread.start
+
+    def counting(thread):
+        names.append(thread.name)
+        return start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counting)
+    return names
+
+
+class TestRunnerReuse:
+    """Thread attempts run on reused runners, abandoned on expiry."""
+
+    def test_single_chunk_calls_reuse_one_runner(self, monkeypatch):
+        be = ResilientBackend("serial")
+        try:
+            started = _count_thread_starts(monkeypatch)
+            for _ in range(50):
+                out = be.map_ranges(_identity_range, 7)
+                np.testing.assert_array_equal(out[0], np.arange(7))
+        finally:
+            be.close()
+        assert len(started) <= 2, started
+
+    def test_abandoned_runner_never_runs_a_later_attempt(self):
+        ran: list[threading.Thread] = []
+
+        def record(lo, hi):
+            ran.append(threading.current_thread())
+            return _identity_range(lo, hi)
+
+        plan = FaultPlan([FaultSpec("hang", seconds=0.6, max_hits=1)])
+        be = ResilientBackend("serial", deadline=0.2, backoff=0.01)
+        try:
+            with injected_faults(plan):
+                out = be.map_ranges(record, 6)
+                np.testing.assert_array_equal(out[0], np.arange(6))
+                (retry,) = ran
+                for _ in range(5):  # the hung runner is still asleep
+                    be.map_ranges(record, 6)
+                # The hung attempt wakes, runs its kernel and exits.
+                stop = time.monotonic() + 10.0
+                while len(ran) < 7 and time.monotonic() < stop:
+                    time.sleep(0.01)
+                hung = ran[6]
+                hung.join(10.0)
+                assert not hung.is_alive()
+                for _ in range(5):
+                    be.map_ranges(record, 6)
+        finally:
+            be.close()
+        assert hung is not retry
+        assert threading.get_ident() not in (hung.ident, retry.ident)
+        assert ran[:6] == [retry] * 6 and ran[7:] == [retry] * 5
+
+    def test_concurrent_callers_share_runners_safely(self):
+        lock = threading.Lock()
+        busy: set[int] = set()
+        overlaps: list[int] = []
+        runners: set[int] = set()
+
+        def kernel(lo, hi):
+            me = threading.get_ident()
+            with lock:
+                if me in busy:
+                    overlaps.append(me)
+                busy.add(me)
+                runners.add(me)
+            try:
+                return np.arange(lo, hi, dtype=np.int64) * 3 + 1
+            finally:
+                with lock:
+                    busy.discard(me)
+
+        expected = SerialBackend().map_ranges(kernel, 9)
+        runners.clear()
+        be = ResilientBackend("serial", deadline=10.0)
+        failures: list[BaseException] = []
+
+        def caller():
+            try:
+                for _ in range(40):
+                    out = be.map_ranges(kernel, 9)
+                    assert len(out) == len(expected)
+                    for got, want in zip(out, expected):
+                        np.testing.assert_array_equal(got, want)
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            callers = [threading.Thread(target=caller) for _ in range(8)]
+            for thread in callers:
+                thread.start()
+            for thread in callers:
+                thread.join(60.0)
+            assert not any(thread.is_alive() for thread in callers)
+        finally:
+            sys.setswitchinterval(interval)
+            be.close()
+        assert not failures, failures[0]
+        assert not overlaps
+        assert 1 <= len(runners) <= 8
+
+    def test_close_and_dropping_the_owner_stop_idle_runners(self):
+        def runner_of(be):
+            seen = []
+            be.map_ranges(
+                lambda lo, hi: seen.append(threading.current_thread()), 3
+            )
+            return seen[0]
+
+        be = ResilientBackend("serial")
+        closed = runner_of(be)
+        be.close()
+        closed.join(5.0)
+        assert not closed.is_alive()
+        # After close() calls still run, each on a runner that exits.
+        after = runner_of(be)
+        after.join(5.0)
+        assert not after.is_alive()
+
+        dropped = runner_of(ResilientBackend("serial"))
+        gc.collect()
+        dropped.join(5.0)
+        assert not dropped.is_alive()
 
 
 class TestCorruptionMarker:

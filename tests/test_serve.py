@@ -166,6 +166,27 @@ def test_budget_bounds_execution_and_ladder_falls_through(graph):
         assert time.monotonic() - started < 2.0
 
 
+def test_rung_runners_are_reused_across_requests(graph, monkeypatch):
+    started: list[str] = []
+    start = threading.Thread.start
+
+    def counting(thread):
+        started.append(thread.name)
+        return start(thread)
+
+    cfg = _config(n_workers=2, max_queue=32)
+    with MatchingServer(config=cfg) as server:
+        monkeypatch.setattr(threading.Thread, "start", counting)
+        tickets = [
+            server.submit_async(MatchRequest(graph, iterations=1, seed=s))
+            for s in range(20)
+        ]
+        for ticket in tickets:
+            ticket.result(30.0).matching.validate(graph)
+    rungs = [name for name in started if name.startswith("serve-rung")]
+    assert 1 <= len(rungs) <= server.n_workers, started
+
+
 # -- degradation ladder ------------------------------------------------
 
 

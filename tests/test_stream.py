@@ -22,7 +22,12 @@ from repro.graph.build import from_edges
 from repro.graph.generators import sprand, union_of_permutations
 from repro.matching import hopcroft_karp
 from repro.scaling import alpha_for_quality
-from repro.serve.daemon import GraphCache, build_graph, serve_forever
+from repro.serve.daemon import (
+    GraphCache,
+    build_graph,
+    graph_key,
+    serve_forever,
+)
 from repro.stream import DynamicBipartiteGraph, StreamMatcher, run_churn
 from repro.stream.rescale import local_rebalance
 
@@ -423,9 +428,64 @@ def test_build_graph_coo_validation():
         ({**ok, "nrows": 2.0}, "'nrows' must be an integer"),
         ({"rows": [0], "cols": [0], "ncols": 1}, "missing 'nrows'"),
     ]
+    cache = GraphCache(8)
     for spec, fragment in cases:
+        # The key falls back to JSON without raising; the build raises.
+        assert graph_key(spec) == json.dumps(spec, sort_keys=True)
         with pytest.raises(ServiceError, match=fragment):
-            build_graph(spec)
+            build_graph(spec, cache)
+    assert len(cache) == 0
+
+
+_COO = {"nrows": 4, "ncols": 4, "rows": [0, 1, 2, 3, 3],
+        "cols": [3, 0, 1, 2, 0]}
+
+
+def test_graph_key_equal_coo_content_shares_one_graph():
+    cache = GraphCache(4)
+    graph = build_graph(_COO, cache)
+    same = [
+        dict(reversed(list(_COO.items()))),
+        {**_COO, "label": "an unknown field"},
+        {**_COO, "rows": [np.int32(r) for r in _COO["rows"]],
+         "cols": [np.int64(c) for c in _COO["cols"]]},
+    ]
+    for spec in same:
+        assert graph_key(spec) == graph_key(_COO)
+        assert build_graph(spec, cache) is graph
+    assert len(cache) == 1
+
+
+def test_graph_key_differs_when_content_differs():
+    other = [
+        {**_COO, "cols": [3, 0, 1, 2, 1]},  # one edge moved
+        {**_COO, "rows": _COO["cols"], "cols": _COO["rows"]},
+        {**_COO, "nrows": 5},  # same edges, one more row
+    ]
+    keys = [graph_key(spec) for spec in other]
+    assert len(set(keys)) == 3 and graph_key(_COO) not in keys
+    cache = GraphCache(4)
+    graphs = [build_graph(spec, cache) for spec in [_COO, *other]]
+    assert len(cache) == 4 and graphs[3].nrows == 5
+
+
+def test_graph_key_keeps_json_for_path_and_kind_specs(tmp_path):
+    from repro.graph.io import write_matrix_market
+
+    kind = {"kind": "union", "n": 40, "k": 2, "seed": 0}
+    assert graph_key(kind) == json.dumps(kind, sort_keys=True)
+    # 'kind' wins over COO fields in build_graph, and so in the key.
+    sprand_spec = {"kind": "sprand", "n": 30, "seed": 1, **_COO}
+    assert graph_key(sprand_spec) == json.dumps(sprand_spec, sort_keys=True)
+    path = tmp_path / "m.mtx"
+    on_disk = union_of_permutations(6, 2, seed=3)
+    write_matrix_market(on_disk, path)
+    spec = {"path": str(path), **_COO}
+    assert graph_key(spec) == json.dumps(spec, sort_keys=True)
+    cache = GraphCache(4)
+    built = build_graph(spec, cache)
+    _assert_same_graph(built, on_disk)  # read as a path, not as COO
+    assert len(cache) == 1 and graph_key(spec) in cache
 
 
 def test_daemon_stream_session_lifecycle():
