@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-regress bench-regress-smoke chaos chaos-smoke serve serve-soak serve-smoke stream stream-smoke exact-smoke recovery-smoke native-smoke net-smoke shard-smoke perfbench-smoke experiments verify examples clean
+.PHONY: install test bench bench-regress bench-regress-smoke chaos chaos-smoke serve serve-soak serve-smoke stream stream-smoke exact-smoke recovery-smoke net-smoke shard-smoke perfbench-smoke experiments verify examples clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -49,14 +49,6 @@ exact-smoke:
 
 recovery-smoke:
 	timeout 480 $(PYTHON) -m pytest -m recovery -q
-
-# Native kernel tier: the impl x backend bitwise matrix plus the
-# per-kernel report/bench.  Runs with or without numba installed — the
-# matrix forces the pure-Python loop bodies when numba is absent, and
-# the CLI reports fallback status honestly either way.
-native-smoke:
-	timeout 480 $(PYTHON) -m pytest -m native -q
-	timeout 300 $(PYTHON) -m repro kernels --n 20000
 
 # Network front: framing/client/quota/failover tests plus a live
 # 3-daemon router soak that SIGKILLs the session-owning daemon midway

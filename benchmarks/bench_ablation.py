@@ -196,17 +196,15 @@ def test_bench_exact_vs_relaxed_parallel_ks(benchmark):
 def test_bench_distributed_scaling_agrees(benchmark):
     import numpy as np
 
-    from repro.scaling import (
-        scale_sinkhorn_knopp,
-        scale_sinkhorn_knopp_distributed,
-    )
+    from repro.scaling import scale_sinkhorn_knopp
+    from repro.shard import shard_scale
 
     g = sprand(5_000, 4.0, seed=0)
     serial = scale_sinkhorn_knopp(g, 5)
-    dist = benchmark(
-        lambda: scale_sinkhorn_knopp_distributed(g, 5, n_ranks=4)
-    )
-    np.testing.assert_allclose(dist.dr, serial.dr, rtol=1e-12)
+    dist = benchmark(lambda: shard_scale(g, 5, n_shards=4))
+    np.testing.assert_array_equal(dist.dr, serial.dr)
+    np.testing.assert_array_equal(dist.dc, serial.dc)
+    assert dist.error == serial.error
 
 
 # ----------------------------------------------------------------------

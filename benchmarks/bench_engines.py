@@ -1,9 +1,8 @@
-"""Engine ablation — the four KarpSipserMT implementations.
+"""Engine ablation — the three KarpSipserMT implementations.
 
-Same algorithm, four execution strategies (serial Python loop, round-
-based vectorized numpy, simulated threads, real locked threads): all must
-produce the same (maximum) cardinality; the vectorized engine is the
-fast path in CPython.
+Same algorithm, three execution strategies (serial Python loop, round-
+based vectorized numpy, simulated threads): all must produce the same
+(maximum) cardinality; the vectorized engine is the fast path in CPython.
 """
 
 import pytest
@@ -11,7 +10,6 @@ import pytest
 from repro.core.karp_sipser_mt import (
     karp_sipser_mt,
     karp_sipser_mt_simulated,
-    karp_sipser_mt_threaded,
     karp_sipser_mt_vectorized,
 )
 from repro.core.oneout import sample_uniform_one_out
@@ -42,16 +40,6 @@ def test_bench_engine_vectorized(
     rc, cc = one_out_choices
     m = benchmark(karp_sipser_mt_vectorized, rc, cc)
     assert m.cardinality == reference_cardinality
-
-
-def test_bench_engine_threaded(
-    benchmark, one_out_choices, reference_cardinality
-):
-    rc, cc = one_out_choices
-    small_rc, small_cc = rc[:10_000] % 10_000, cc[:10_000] % 10_000
-    reference = karp_sipser_mt(small_rc, small_cc).cardinality
-    m = benchmark(karp_sipser_mt_threaded, small_rc, small_cc, 2)
-    assert m.cardinality == reference
 
 
 def test_bench_engine_simulated(benchmark, one_out_choices):

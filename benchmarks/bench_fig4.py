@@ -1,7 +1,7 @@
 """Figure 4 bench — KarpSipserMT / TwoSidedMatch scalability.
 
-Benchmarks the serial KarpSipserMT kernel and its simulated/threaded
-engines, and asserts the machine-model speedup shape of Figure 4a/4b
+Benchmarks the serial KarpSipserMT kernel and its simulated engine, and
+asserts the machine-model speedup shape of Figure 4a/4b
 (KarpSipserMT scales slightly *better* than ScaleSK in the paper — guided
 schedule, no barriers inside the loop).
 """
@@ -11,7 +11,6 @@ import pytest
 from repro.core import (
     karp_sipser_mt,
     karp_sipser_mt_simulated,
-    karp_sipser_mt_threaded,
     scaled_col_choices,
     scaled_row_choices,
 )
@@ -34,13 +33,6 @@ def test_bench_ks_mt_serial(benchmark, mesh_choices):
     rc, cc = mesh_choices
     m = benchmark(karp_sipser_mt, rc, cc)
     assert m.cardinality > 0
-
-
-def test_bench_ks_mt_threaded_2(benchmark, mesh_choices):
-    rc, cc = mesh_choices
-    serial = karp_sipser_mt(rc, cc).cardinality
-    m = benchmark(karp_sipser_mt_threaded, rc, cc, 2)
-    assert m.cardinality == serial
 
 
 def test_bench_ks_mt_simulated_small(benchmark, mesh_instance):

@@ -99,15 +99,6 @@ SIZES = {
     # around 1x (see docs/performance.md).
     "auction_cold": (120_000, 8_000),
     "auction_warm": (120_000, 8_000),
-    # Native kernel tier: the kernel-bound workloads re-timed under the
-    # numpy tier and under the native tier on the serial backend.  Both
-    # are informational (no "seconds" key — they never gate): the
-    # 5x bar is the aspiration for JIT-compiled loops at this size, and
-    # on hosts without numba the native tier falls back to the bitwise
-    # identical numpy kernels, so the honest ratio is ~1x with
-    # ``"numba": false`` recorded alongside (see docs/performance.md).
-    "native_sk": (120_000, 8_000),
-    "native_auction_cold": (120_000, 8_000),
     # Network front: request count for the framed unix-socket roundtrip
     # loop through SocketServer + ResilientClient.  Informational (no
     # "seconds" key): the cell exists to keep per-request wire overhead
@@ -217,10 +208,13 @@ def run_workloads(smoke: bool, backend_spec: str = "serial") -> dict[str, dict]:
     finally:
         be.close()
 
-    # Backend matrix: identical SK / end-to-end workloads through the
-    # fork-per-call process backend and the persistent zero-copy pool.
-    # shm vs proc at equal n is the pool's speedup evidence; shm vs the
-    # serial scale_sk/twosided cells bounds its dispatch overhead (see
+    # Backend matrix: the same workloads through the fork-per-call
+    # process backend and the persistent zero-copy pool.  The *_scale_sk
+    # cells time Sinkhorn-Knopp alone.  The *_e2e_twosided cells pass the
+    # precomputed scaling, so they time choice sampling plus Karp-Sipser
+    # and never SK: an e2e cell can read below its scale_sk cell.  shm vs
+    # proc at equal n is the pool's speedup evidence; shm vs the serial
+    # scale_sk/twosided cells bounds its dispatch overhead (see
     # docs/performance.md).  Best-of-N absorbs the one-time pool spawn.
     from repro.parallel import ProcessBackend, SharedMemoryBackend
 
@@ -573,73 +567,6 @@ def run_workloads(smoke: bool, backend_spec: str = "serial") -> dict[str, dict]:
         f"  {'auction_warm_speedup':<22} n={n:<7} {ratio:9.2f}x "
         f"(informational bar 2.0x)"
     )
-
-    # Native kernel tier: numpy-tier vs native-tier timings of the
-    # kernel-bound workloads, on the serial backend so the ratio
-    # isolates kernel execution from pool dispatch.  Informational —
-    # no "seconds" key, so a host without numba (where the native tier
-    # falls back to the identical numpy loops and the ratio is ~1x)
-    # never fails the gate; the "numba" field keeps the context honest.
-    import warnings
-
-    from repro.matching import auction_match as _auction_match
-    from repro.parallel import (
-        kernel_impl,
-        kernel_impls,
-        native_available,
-        warm_compile,
-    )
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        with kernel_impl("native"):
-            warm_compile()
-            impl_report = kernel_impls()
-    numba_active = native_available() and all(
-        entry["status"] == "ready" for entry in impl_report
-    )
-
-    def record_native(name: str, n: int, fn) -> None:
-        with kernel_impl("numpy"):
-            numpy_seconds = _best_of(fn, repeats)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            with kernel_impl("native"):
-                native_seconds = _best_of(fn, repeats)
-        speedup = numpy_seconds / native_seconds if native_seconds else 1.0
-        results[name] = {
-            "n": n,
-            "numpy_seconds": numpy_seconds,
-            "native_seconds": native_seconds,
-            "speedup": speedup,
-            "bar": 5.0,
-            "meets_bar": speedup >= 5.0,
-            "numba": numba_active,
-        }
-        print(
-            f"  {name:<22} n={n:<7} {speedup:9.2f}x "
-            f"(numpy {numpy_seconds * 1e3:.2f} ms, native "
-            f"{native_seconds * 1e3:.2f} ms, numba={numba_active}, "
-            f"informational bar 5.0x)"
-        )
-
-    native_be = get_backend("serial")
-    try:
-        n = SIZES["native_sk"][idx]
-        g = sprand(n, 4.0, seed=0)
-        record_native(
-            "native_sk", n,
-            lambda: scale_sinkhorn_knopp(g, 5, backend=native_be),
-        )
-
-        n = SIZES["native_auction_cold"][idx]
-        g = sprand(n, 4.0, seed=11)
-        record_native(
-            "native_auction_cold", n,
-            lambda: _auction_match(g, backend=native_be, seed=0),
-        )
-    finally:
-        native_be.close()
 
     print("quality workloads:")
     trials = 3 if smoke else 5

@@ -18,7 +18,6 @@ from repro.core.karp_sipser_mt import (
     karp_sipser_mt,
     karp_sipser_mt_vectorized,
     karp_sipser_mt_simulated,
-    karp_sipser_mt_threaded,
     choice_graph,
     KarpSipserMTStats,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "karp_sipser_mt",
     "karp_sipser_mt_vectorized",
     "karp_sipser_mt_simulated",
-    "karp_sipser_mt_threaded",
     "choice_graph",
     "KarpSipserMTStats",
     "sample_uniform_one_out",

@@ -30,10 +30,7 @@ These engines share this logic:
 * :func:`karp_sipser_mt_simulated` — p simulated threads under a
   :class:`~repro.parallel.simthread.SimScheduler`, using the atomic
   operations exactly where Algorithm 4 places them — this is how the
-  concurrency claims are verified;
-* :func:`karp_sipser_mt_threaded` — real Python threads with striped-lock
-  atomics (correctness demonstration on real threads; CPython's GIL makes
-  it a correctness tool, not a speed tool — see DESIGN.md).
+  concurrency claims are verified.
 """
 
 from __future__ import annotations
@@ -58,7 +55,6 @@ __all__ = [
     "karp_sipser_mt_vectorized",
     "karp_sipser_mt_parallel",
     "karp_sipser_mt_simulated",
-    "karp_sipser_mt_threaded",
     "choice_graph",
     "unify_choices",
     "matching_from_unified",
@@ -548,84 +544,6 @@ def karp_sipser_mt_simulated(
             sp.set(cardinality=total_pairs)
     if with_stats:
         return result, stats
-    return result
-
-
-# ----------------------------------------------------------------------
-# Real-thread engine
-# ----------------------------------------------------------------------
-def karp_sipser_mt_threaded(
-    row_choice: IndexArray,
-    col_choice: IndexArray,
-    n_threads: int,
-) -> Matching:
-    """Run Algorithm 4 on real Python threads with locked atomics.
-
-    Demonstrates the protocol on genuine concurrency.  CPython's GIL means
-    this is about safety, not speed (the machine model covers speedups).
-    """
-    import threading
-
-    if n_threads < 1:
-        raise ShapeError(f"n_threads must be >= 1, got {n_threads}")
-    choice, nrows, ncols = unify_choices(row_choice, col_choice)
-    n = nrows + ncols
-    mark, deg0 = _init_mark_deg(choice)
-    match = AtomicArray(np.full(n, NIL, dtype=np.int64), locking=True)
-    deg = AtomicArray(deg0, locking=True)
-
-    def phase1_worker(lo: int, hi: int) -> None:
-        for u in range(lo, hi):
-            if not mark[u] or choice[u] == NIL:
-                continue
-            curr = u
-            while curr != NIL:
-                nbr = int(choice[curr])
-                if nbr == NIL:
-                    break
-                if match.compare_and_swap(nbr, NIL, curr) == curr:
-                    match.store(curr, nbr)
-                    nxt = int(choice[nbr])
-                    curr = NIL
-                    if nxt != NIL and match.load(nxt) == NIL:
-                        if deg.add_and_fetch(nxt, -1) == 1:
-                            curr = nxt
-                else:
-                    curr = NIL
-
-    def phase2_worker(lo: int, hi: int) -> None:
-        for j in range(lo, hi):
-            u = nrows + j
-            v = int(choice[u])
-            if v == NIL:
-                continue
-            if match.load(u) == NIL and match.load(v) == NIL:
-                match.store(u, v)
-                match.store(v, u)
-
-    from repro.parallel.partition import static_partition
-
-    with _tm.span(
-        "karp_sipser_mt.threaded", n=n, n_threads=n_threads
-    ) as sp:
-        for name, worker, count in (
-            ("phase1", phase1_worker, n), ("phase2", phase2_worker, ncols)
-        ):
-            threads = [
-                threading.Thread(target=worker, args=(lo, hi))
-                for lo, hi in static_partition(count, n_threads)
-            ]
-            with _tm.span(name):
-                for t in threads:
-                    t.start()
-                for t in threads:
-                    t.join()
-
-        result = matching_from_unified(match.values, nrows, ncols)
-        if _tm.enabled():
-            pairs = int(np.count_nonzero(match.values != NIL)) // 2
-            _tm.incr("ks_mt.threaded.runs")
-            sp.set(cardinality=pairs)
     return result
 
 

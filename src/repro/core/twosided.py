@@ -31,7 +31,6 @@ from repro.core.karp_sipser_mt import (
     karp_sipser_mt,
     karp_sipser_mt_parallel,
     karp_sipser_mt_simulated,
-    karp_sipser_mt_threaded,
     karp_sipser_mt_vectorized,
 )
 
@@ -107,12 +106,11 @@ def two_sided_match(
         (reference), ``"vectorized"`` (round-based numpy — the fast path
         for large instances), ``"parallel"`` (the same engine as
         ``"vectorized"``, bitwise identical, with its telemetry under
-        ``ks_mt.parallel``), ``"simulated"`` (*n_threads* simulated
+        ``ks_mt.parallel``), or ``"simulated"`` (*n_threads* simulated
         threads under *sim_policy* interleaving — the concurrency-
-        verification path), or ``"threaded"`` (real Python threads with
-        locked atomics).
+        verification path).
     n_threads:
-        Thread count for the non-serial engines.
+        Simulated thread count for the ``"simulated"`` engine.
     sim_policy:
         Interleaving policy for the simulated engine.
     deadline:
@@ -175,14 +173,10 @@ def two_sided_match(
                 seed=rng,
                 with_stats=True,
             )
-        elif engine == "threaded":
-            matching = karp_sipser_mt_threaded(
-                row_choice, col_choice, n_threads
-            )
         else:
             raise ShapeError(
-                f"engine must be 'serial', 'vectorized', 'parallel', "
-                f"'simulated' or 'threaded', got {engine!r}"
+                f"engine must be 'serial', 'vectorized', 'parallel' or "
+                f"'simulated', got {engine!r}"
             )
 
         if _tm.enabled():

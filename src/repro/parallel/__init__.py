@@ -37,16 +37,6 @@ from repro.parallel.kernels import (
     run_kernel,
 )
 from repro.parallel.machine import MachineModel, ScheduleKind
-from repro.parallel.native import (
-    force_native_impls,
-    get_kernel_impl,
-    kernel_impl,
-    kernel_impls,
-    native_available,
-    native_cache_dir,
-    set_kernel_impl,
-    warm_compile,
-)
 from repro.parallel.partition import chunk_ranges, static_partition
 from repro.parallel.shm import SharedMemoryBackend, WorkerCrashError
 from repro.parallel.simthread import SimScheduler, SchedulePolicy, run_threads
@@ -67,14 +57,6 @@ __all__ = [
     "kernel_chunk_override",
     "register_kernel",
     "run_kernel",
-    "force_native_impls",
-    "get_kernel_impl",
-    "kernel_impl",
-    "kernel_impls",
-    "native_available",
-    "native_cache_dir",
-    "set_kernel_impl",
-    "warm_compile",
     "MachineModel",
     "ScheduleKind",
     "chunk_ranges",

@@ -7,19 +7,12 @@ on:
 * ``_CompAndSwap(memory, old, new)``     → :meth:`AtomicArray.compare_and_swap`
 * ``_AddAndFetch(memory, value)``        → :meth:`AtomicArray.add_and_fetch`
 
-Two execution contexts use them:
-
-* Inside the :mod:`repro.parallel.simthread` simulator, each call is a
-  single simulator step, so it is atomic by construction and may be
-  interleaved arbitrarily with other threads' steps.
-* Under real ``threading`` backends, an optional striped-lock mode makes
-  each call genuinely atomic (CPython has no CAS primitive; per-stripe
-  locks are the honest translation).
+They run inside the :mod:`repro.parallel.simthread` simulator, where each
+call is a single simulator step: atomic by construction, and free to be
+interleaved arbitrarily with other threads' steps.
 """
 
 from __future__ import annotations
-
-import threading
 
 import numpy as np
 
@@ -35,37 +28,15 @@ class AtomicArray:
     ----------
     data:
         Initial contents (copied into a fresh int64 array) or an int size.
-    locking:
-        ``False`` (default) for use inside the simulator, where atomicity
-        comes from the step semantics; ``True`` to guard every operation
-        with one of ``n_stripes`` locks for use under real threads.
     """
 
-    __slots__ = ("values", "_locks", "_n_stripes")
+    __slots__ = ("values",)
 
-    def __init__(
-        self,
-        data: int | IndexArray | list[int],
-        *,
-        locking: bool = False,
-        n_stripes: int = 64,
-    ) -> None:
+    def __init__(self, data: int | IndexArray | list[int]) -> None:
         if isinstance(data, int):
             self.values = np.zeros(data, dtype=np.int64)
         else:
             self.values = np.array(data, dtype=np.int64)
-        if locking:
-            self._n_stripes = max(1, n_stripes)
-            self._locks: list[threading.Lock] | None = [
-                threading.Lock() for _ in range(self._n_stripes)
-            ]
-        else:
-            self._n_stripes = 0
-            self._locks = None
-
-    def _lock_for(self, index: int):
-        assert self._locks is not None
-        return self._locks[index % self._n_stripes]
 
     def __len__(self) -> int:
         return int(self.values.shape[0])
@@ -73,47 +44,27 @@ class AtomicArray:
     # ------------------------------------------------------------------
     def load(self, index: int) -> int:
         """Atomic read."""
-        if self._locks is None:
-            return int(self.values[index])
-        with self._lock_for(index):
-            return int(self.values[index])
+        return int(self.values[index])
 
     def store(self, index: int, value: int) -> None:
         """Atomic write."""
-        if self._locks is None:
-            self.values[index] = value
-            return
-        with self._lock_for(index):
-            self.values[index] = value
+        self.values[index] = value
 
     def add(self, index: int, value: int) -> None:
         """The paper's ``_Add``: atomic ``memory += value``."""
-        if self._locks is None:
-            self.values[index] += value
-            return
-        with self._lock_for(index):
-            self.values[index] += value
+        self.values[index] += value
 
     def add_and_fetch(self, index: int, value: int) -> int:
         """The paper's ``_AddAndFetch``: atomic add returning the *new*
         content."""
-        if self._locks is None:
-            self.values[index] += value
-            return int(self.values[index])
-        with self._lock_for(index):
-            self.values[index] += value
-            return int(self.values[index])
+        self.values[index] += value
+        return int(self.values[index])
 
     def compare_and_swap(self, index: int, expected: int, replace: int) -> int:
         """The paper's ``_CompAndSwap``: if the cell equals *expected*,
         store *replace*.  Returns the **final** content of the cell (so a
         successful swap returns *replace*, matching the paper's use
         ``_CompAndSwap(match[nbr], NIL, curr) = curr`` as success test)."""
-        if self._locks is None:
-            if self.values[index] == expected:
-                self.values[index] = replace
-            return int(self.values[index])
-        with self._lock_for(index):
-            if self.values[index] == expected:
-                self.values[index] = replace
-            return int(self.values[index])
+        if self.values[index] == expected:
+            self.values[index] = replace
+        return int(self.values[index])

@@ -49,7 +49,6 @@ from repro import telemetry as _tm
 from repro._typing import FloatArray
 from repro.errors import BackendError
 from repro.matching.matching import NIL
-from repro.parallel import native as _native
 from repro.parallel.backends import Backend, get_backend
 from repro.parallel.partition import chunk_ranges
 from repro.parallel.reduction import segment_sums
@@ -226,17 +225,16 @@ def run_kernel(
     if be.supports_kernels:
         return be.run_kernel(kern, parts, arrays, dict(scalars or {}))
 
-    fn = _native.active_fn(kern)
     views: dict[str, Any] = dict(arrays)
     if scalars:
         views.update(scalars)
     if be.shares_memory:
-        return be.map_chunks(lambda lo, hi: fn(lo, hi, views), parts)
+        return be.map_chunks(lambda lo, hi: kern.fn(lo, hi, views), parts)
 
     # Process-isolated workers mutate copy-on-write pages the parent never
     # sees, so have each chunk return its output slices for reassembly.
     def isolated(lo: int, hi: int) -> tuple[Any, dict[str, np.ndarray]]:
-        ret = fn(lo, hi, views)
+        ret = kern.fn(lo, hi, views)
         return ret, {nm: views[nm][lo:hi] for nm in kern.outputs}
 
     rets: list[Any] = []
@@ -385,15 +383,6 @@ def _choice_flat(lo: int, hi: int, v: Mapping[str, Any]) -> None:
 #: Sentinel bid target meaning "this row certifies it cannot be matched":
 #: every neighbour's price is at or above the round's dead level.
 AUCTION_DROP: int = -2
-
-# The native loops bake the sentinels in as compile-time constants; a
-# drift between the two definitions would corrupt silently, so refuse to
-# import instead.
-if _native.AUCTION_DROP != AUCTION_DROP or _native.NIL != NIL:
-    raise BackendError(
-        "repro.parallel.native sentinel constants diverge from the "
-        "canonical NIL/AUCTION_DROP definitions"
-    )
 
 
 def _segment_min2(

@@ -73,7 +73,6 @@ from repro.parallel.backends import (
     _record_chunks,
     default_worker_count,
 )
-from repro.parallel import native as _native
 from repro.parallel.kernels import KERNELS, Kernel
 from repro.resilience import faults as _faults
 
@@ -238,13 +237,9 @@ def _worker_main(task_q, result_q) -> None:
                 if role not in kern.outputs:
                     view.flags.writeable = False
                 views[role] = view
-            # Resolve the active implementation tier (native/numpy) per
-            # task: the worker inherited the selection — and any warm-
-            # compiled dispatchers — when the pool forked.
-            fn = _native.active_fn(kern)
             ret = _faults.execute_with_fault(
                 spec,
-                lambda a, b: fn(a, b, views),
+                lambda a, b: kern.fn(a, b, views),
                 lo,
                 hi,
                 in_child=True,
@@ -489,12 +484,6 @@ class SharedMemoryBackend(Backend):
         if self._procs and all(p.is_alive() for p in self._procs):
             return
         self._stop_pool()
-        # Warm-compile the native kernel tier *before* forking: children
-        # inherit the compiled dispatchers through fork, so no worker
-        # ever pays JIT cost mid-task (a compile inside a deadline-
-        # supervised chunk would read as a straggler).  No-op when the
-        # numpy tier is selected or numba is absent.
-        _native.warm_compile()
         # Start the segment tracker *before* forking: children inherit
         # the tracker connection, so their attach registrations coalesce
         # with the parent's instead of spawning per-child trackers (whose

@@ -58,7 +58,6 @@ from __future__ import annotations
 
 import threading
 import time
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -831,17 +830,6 @@ def run_chaos(
       rejections included); a lost request or untyped failure violates
       the contract.
 
-    Once per full sweep (``storm`` schedule present), on the last
-    backend of *backends*, every schedule also runs the scaling workload
-    with the **native** kernel tier selected (``native`` workload row):
-    faults under JIT-compiled
-    kernels must still yield a bitwise-correct result or a typed error.
-    The tier is warm-compiled outside the faulted cells — a JIT compile
-    must never read as a straggler — and on hosts without numba the row
-    exercises the selection + fallback path instead (the numpy tier is
-    bitwise identical by contract, so the cell's assertions are the
-    same).
-
     And once per sweep (not per backend) the durability and network
     rows run:
 
@@ -1036,38 +1024,6 @@ def run_chaos(
                     serve_cell, make_backend, budget * 3,
                 )
             )
-    # Native-tier row: the scaling workload again, on the last backend,
-    # with the native kernel implementations selected.  Like the serve
-    # and recovery rows it only rides full sweeps; a custom schedule set
-    # without "storm" stays a pure scale matrix.
-    if "storm" in schedules:
-        from repro.parallel import kernel_impl, warm_compile
-
-        native_spec = backends[-1]
-
-        def make_native_backend(spec: str = native_spec) -> ResilientBackend:
-            return ResilientBackend(
-                spec, deadline=deadline, max_retries=max_retries,
-                backoff=0.01, max_backoff=0.1, seed=seed,
-            )
-
-        def native_cell(backend: ResilientBackend) -> str:
-            with kernel_impl("native"):
-                return scale_cell(backend)
-
-        with warnings.catch_warnings():
-            # Without numba the selection falls back (warn-once) to the
-            # bitwise-identical numpy tier; the row still runs.
-            warnings.simplefilter("ignore", RuntimeWarning)
-            with kernel_impl("native"):
-                warm_compile()  # JIT outside any deadline-supervised cell
-            for schedule, plan in schedules.items():
-                outcomes.append(
-                    _run_cell(
-                        "native", native_spec, schedule, plan,
-                        native_cell, make_native_backend, budget,
-                    )
-                )
     if "storm" in schedules:
         recovery_n = min(n, 150)
         for schedule, plan in recovery_schedules(seed=seed).items():

@@ -12,7 +12,6 @@ from repro.scaling.result import ScalingResult
 from repro.scaling.duals import dual_prices
 from repro.scaling.sinkhorn_knopp import scale_sinkhorn_knopp
 from repro.scaling.ruiz import scale_ruiz
-from repro.scaling.distributed import scale_sinkhorn_knopp_distributed
 from repro.scaling.diagnostics import estimate_matchable_edges, matchability_report
 from repro.scaling.adaptive import alpha_for_quality, scale_for_quality, QualityScaling
 from repro.scaling.convergence_rate import convergence_study, observed_rate, theoretical_rate
@@ -29,7 +28,6 @@ __all__ = [
     "dual_prices",
     "scale_sinkhorn_knopp",
     "scale_ruiz",
-    "scale_sinkhorn_knopp_distributed",
     "estimate_matchable_edges",
     "matchability_report",
     "alpha_for_quality",

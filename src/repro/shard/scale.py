@@ -1,18 +1,16 @@
 """2-D sharded Sinkhorn–Knopp: row *and* column ownership per shard.
 
-The 1-D seed (:mod:`repro.scaling.distributed`) partitions rows only and
-rebuilds column sums with ``np.add.at`` — a reassociated reduction that
-agrees with serial SK to rtol, not bitwise.  This module generalizes the
-same allreduce pattern to two dimensions while keeping the serial kernels:
-each shard owns a contiguous row range and a contiguous column range
-(:class:`~repro.shard.partition.ShardSlice`) and runs the registered
-``sk_sweep``/``sk_sweep_err`` kernels on its *rebased* CSC/CSR slices
-against replicated opposite-side vectors.  Per column (and per row) the
-arithmetic is then literally the serial kernel's — same gather, same
-``segment_sums``, same reciprocal — so the gathered global vectors are
-bitwise equal to :func:`repro.scaling.sinkhorn_knopp.scale_sinkhorn_knopp`
-for every shard count, and the convergence error (a max, which is
-association-free) matches exactly as well.
+The allreduce pattern of distributed-memory scaling, in two dimensions
+and on the serial kernels: each shard owns a contiguous row range and a
+contiguous column range (:class:`~repro.shard.partition.ShardSlice`) and
+runs the registered ``sk_sweep``/``sk_sweep_err`` kernels on its
+*rebased* CSC/CSR slices against replicated opposite-side vectors.  Per
+column (and per row) the arithmetic is then literally the serial
+kernel's — same gather, same ``segment_sums``, same reciprocal — so the
+gathered global vectors are bitwise equal to
+:func:`repro.scaling.sinkhorn_knopp.scale_sinkhorn_knopp` for every shard
+count, and the convergence error (a max, which is association-free)
+matches exactly as well.
 
 Communication per sweep: one ``allreduce(max)`` for the error and one
 ``allgather`` per updated vector — the Amestoy–Duff–Ruiz–Uçar pattern the

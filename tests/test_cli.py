@@ -66,18 +66,6 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "block H" in out and "total support" in out
 
-    def test_kernels_report(self, capsys):
-        assert main(["kernels", "--n", "500", "--repeats", "1"]) == 0
-        out = capsys.readouterr().out
-        assert "selected mode" in out and "cache dir" in out
-        for name in ("sk_sweep", "choice_scaled", "auction_bid"):
-            assert name in out
-
-    def test_kernels_no_bench(self, capsys):
-        assert main(["kernels", "--no-bench"]) == 0
-        out = capsys.readouterr().out
-        assert "sk_sweep_err" in out and "numpy_ms" in out
-
     def test_generate_sprand(self, tmp_path, capsys):
         out_file = tmp_path / "gen.mtx"
         assert main(

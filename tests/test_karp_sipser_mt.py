@@ -5,8 +5,7 @@ equivalences):
 
 * the matching is always *valid*;
 * the matching is always *maximum on the choice subgraph* — for the
-  serial engine, for simulated threads under every scheduling policy, and
-  for real threads;
+  serial engine and for simulated threads under every scheduling policy;
 * all engines agree on the cardinality (the maximum is unique even though
   the matchings differ);
 * degenerate inputs (NIL choices, 2-cliques, pure cycles, self-everything)
@@ -26,7 +25,6 @@ from repro.core.karp_sipser_mt import (
     choice_graph,
     karp_sipser_mt,
     karp_sipser_mt_simulated,
-    karp_sipser_mt_threaded,
     karp_sipser_mt_work_profile,
     matching_from_unified,
     unify_choices,
@@ -217,23 +215,6 @@ class TestSimulatedEngine:
         assert stats.cardinality == m.cardinality
 
 
-class TestThreadedEngine:
-    @pytest.mark.parametrize("n_threads", [1, 2, 4])
-    def test_maximum_on_real_threads(self, n_threads):
-        rng = np.random.default_rng(7)
-        for _ in range(4):
-            n = int(rng.integers(10, 300))
-            rc = rng.integers(0, n, n)
-            cc = rng.integers(0, n, n)
-            opt = hopcroft_karp(choice_graph(rc, cc)).cardinality
-            m = karp_sipser_mt_threaded(rc, cc, n_threads)
-            assert m.cardinality == opt
-
-    def test_bad_thread_count(self):
-        with pytest.raises(ShapeError):
-            karp_sipser_mt_threaded(np.array([0]), np.array([0]), 0)
-
-
 class TestEngineAgreement:
     @given(choice_arrays())
     @settings(max_examples=30, deadline=None)
@@ -241,8 +222,7 @@ class TestEngineAgreement:
         rc, cc = arrays
         serial = karp_sipser_mt(rc, cc).cardinality
         sim = karp_sipser_mt_simulated(rc, cc, 3, seed=0).cardinality
-        threaded = karp_sipser_mt_threaded(rc, cc, 2).cardinality
-        assert serial == sim == threaded
+        assert serial == sim
 
 
 class TestWorkProfile:

@@ -1,15 +1,20 @@
-"""Tests for the message-passing simulation and distributed scaling."""
+"""Tests for the message-passing simulation and sharded scaling on it."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import BackendError
+from repro.errors import BackendError, ScalingError, ShardError
 from repro.graph import from_dense, sprand, sprand_rect
+from repro.parallel.kernels import kernel_chunk_override
 from repro.parallel.mpi_sim import SimComm, run_ranks
 from repro.scaling import scale_sinkhorn_knopp
-from repro.scaling.distributed import scale_sinkhorn_knopp_distributed
+from repro.shard import shard_scale
+
+#: Chunk size for the sharded-scaling checks: small enough that every
+#: fixed case below splits into several chunks, so K > 1 plans hold rows.
+CHUNK = 2
 
 
 class TestCollectives:
@@ -189,47 +194,49 @@ class TestSingleRank:
 
 
 class TestDistributedScaling:
+    """``shard_scale`` on the rank fabric (one rank per shard) against
+    serial Sinkhorn–Knopp: bitwise in both factor vectors, exact in the
+    error and the sweep count.  The small chunk grid makes multi-shard
+    plans form on test-sized graphs; ``plan_shards`` leaves a shard empty
+    when there are more shards than chunks."""
+
+    @staticmethod
+    def _assert_bitwise(g, iterations, n_shards):
+        with kernel_chunk_override(CHUNK):
+            serial = scale_sinkhorn_knopp(g, iterations)
+            sharded = shard_scale(g, iterations, n_shards=n_shards)
+        np.testing.assert_array_equal(sharded.dr, serial.dr)
+        np.testing.assert_array_equal(sharded.dc, serial.dc)
+        assert sharded.error == serial.error
+        assert sharded.iterations == serial.iterations
+        return sharded
+
     @pytest.mark.parametrize("n_ranks", [1, 2, 3, 5])
     def test_matches_serial(self, n_ranks):
-        g = sprand(300, 4.0, seed=0)
-        serial = scale_sinkhorn_knopp(g, 5)
-        dist = scale_sinkhorn_knopp_distributed(g, 5, n_ranks=n_ranks)
-        np.testing.assert_allclose(dist.dr, serial.dr, rtol=1e-12)
-        np.testing.assert_allclose(dist.dc, serial.dc, rtol=1e-12)
-        assert dist.error == pytest.approx(serial.error, rel=1e-9)
+        self._assert_bitwise(sprand(300, 4.0, seed=0), 5, n_ranks)
 
     def test_rectangular(self):
-        g = sprand_rect(120, 200, 3.0, seed=1)
-        serial = scale_sinkhorn_knopp(g, 4)
-        dist = scale_sinkhorn_knopp_distributed(g, 4, n_ranks=3)
-        np.testing.assert_allclose(dist.dr, serial.dr, rtol=1e-12)
+        self._assert_bitwise(sprand_rect(120, 200, 3.0, seed=1), 4, 3)
 
     def test_empty_lines_tolerated(self):
         a = np.array([[1, 1, 0], [0, 0, 0], [0, 1, 0]])
-        g = from_dense(a)
-        dist = scale_sinkhorn_knopp_distributed(g, 3, n_ranks=2)
-        assert np.isfinite(dist.dr).all()
-        assert np.isfinite(dist.dc).all()
+        sharded = self._assert_bitwise(from_dense(a), 3, 2)
+        assert np.isfinite(sharded.dr).all()
+        assert np.isfinite(sharded.dc).all()
 
     def test_more_ranks_than_rows(self):
-        g = sprand(5, 2.0, seed=0)
-        dist = scale_sinkhorn_knopp_distributed(g, 2, n_ranks=16)
-        serial = scale_sinkhorn_knopp(g, 2)
-        np.testing.assert_allclose(dist.dr, serial.dr, rtol=1e-12)
+        self._assert_bitwise(sprand(5, 2.0, seed=0), 2, 16)
 
     def test_zero_iterations(self):
-        g = sprand(50, 3.0, seed=0)
-        dist = scale_sinkhorn_knopp_distributed(g, 0, n_ranks=2)
-        np.testing.assert_array_equal(dist.dr, np.ones(50))
+        sharded = self._assert_bitwise(sprand(50, 3.0, seed=0), 0, 2)
+        np.testing.assert_array_equal(sharded.dr, np.ones(50))
 
     def test_bad_arguments(self):
-        from repro.errors import ScalingError
-
         g = sprand(10, 2.0, seed=0)
         with pytest.raises(ScalingError):
-            scale_sinkhorn_knopp_distributed(g, -1)
-        with pytest.raises(ScalingError):
-            scale_sinkhorn_knopp_distributed(g, 2, n_ranks=0)
+            shard_scale(g, -1)
+        with pytest.raises(ShardError):
+            shard_scale(g, 2, n_shards=0)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -242,16 +249,7 @@ class TestDistributedScaling:
     def test_rank_count_never_changes_the_factors(
         self, n, degree, iterations, seed, n_ranks
     ):
-        """Property: for any graph, budget, and rank count, the
-        distributed sweep agrees with the serial one to rtol 1e-12 (the
-        partial column sums are re-associated across ranks, so bitwise
-        equality is deliberately NOT claimed — see the shard subsystem
-        for the replicated-sweep variant that achieves it)."""
+        """Property: for any graph, budget, and shard count, the sharded
+        sweep is bitwise equal to the serial one."""
         g = sprand(n, min(degree, float(n)), seed=seed)
-        serial = scale_sinkhorn_knopp(g, iterations)
-        dist = scale_sinkhorn_knopp_distributed(
-            g, iterations, n_ranks=n_ranks
-        )
-        np.testing.assert_allclose(dist.dr, serial.dr, rtol=1e-12)
-        np.testing.assert_allclose(dist.dc, serial.dc, rtol=1e-12)
-        assert dist.iterations == serial.iterations
+        self._assert_bitwise(g, iterations, n_ranks)

@@ -69,21 +69,18 @@ class TestPartition:
 
 
 class TestAtomics:
-    @pytest.mark.parametrize("locking", [False, True])
-    def test_add_and_fetch(self, locking):
-        a = AtomicArray([5, 0], locking=locking)
+    def test_add_and_fetch(self):
+        a = AtomicArray([5, 0])
         assert a.add_and_fetch(0, -2) == 3
         assert a.load(0) == 3
 
-    @pytest.mark.parametrize("locking", [False, True])
-    def test_compare_and_swap_success_returns_replacement(self, locking):
-        a = AtomicArray([-1], locking=locking)
+    def test_compare_and_swap_success_returns_replacement(self):
+        a = AtomicArray([-1])
         assert a.compare_and_swap(0, -1, 7) == 7
         assert a.load(0) == 7
 
-    @pytest.mark.parametrize("locking", [False, True])
-    def test_compare_and_swap_failure_returns_current(self, locking):
-        a = AtomicArray([3], locking=locking)
+    def test_compare_and_swap_failure_returns_current(self):
+        a = AtomicArray([3])
         assert a.compare_and_swap(0, -1, 7) == 3
         assert a.load(0) == 3
 
@@ -97,25 +94,6 @@ class TestAtomics:
         a = AtomicArray([1])
         a.add(0, 10)
         assert a.load(0) == 11
-
-    def test_concurrent_cas_under_real_threads(self):
-        """Exactly one thread may win each CAS slot."""
-        import threading
-
-        a = AtomicArray(np.full(64, -1), locking=True)
-        wins = [0] * 8
-
-        def worker(tid):
-            for i in range(64):
-                if a.compare_and_swap(i, -1, tid) == tid:
-                    wins[tid] += 1
-
-        threads = [threading.Thread(target=worker, args=(t,)) for t in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert sum(wins) == 64  # every slot won exactly once
 
 
 class TestBackends:

@@ -9,34 +9,29 @@ Covers the three contracts the zero-copy path makes:
   the pool: no array ever crosses the process boundary by pickling;
 * **crash semantics** — a dead worker surfaces as a typed
   ``WorkerCrashError`` and the pool self-heals on the next call.
-* **impl invariance** — the native (JIT) kernel tier is bitwise
-  identical to numpy on every backend; without numba the exact loop
-  bodies run as pure Python through the same dispatch
-  (``force_native_impls``), so the matrix holds on every host.
 """
-
-import contextlib
 
 import numpy as np
 import pytest
 
+import repro.parallel.kernels as kernels_mod
+from repro import telemetry
 from repro.core.choice import ChoiceSampler, scaled_row_choices
 from repro.core.ensemble import best_of
 from repro.core.twosided import two_sided_match
 from repro.errors import BackendError, WorkerCrashError
 from repro.graph.generators import sprand, union_of_permutations
+from repro.matching.matching import NIL
 from repro.parallel import (
     SharedMemoryBackend,
     ThreadBackend,
     default_worker_count,
-    force_native_impls,
     get_backend,
     kernel_chunk_override,
-    kernel_impl,
-    native_available,
     run_kernel,
 )
 from repro.parallel.kernels import KERNELS, kernel_grid
+from repro.parallel.partition import static_partition
 from repro.resilience.faults import FaultPlan, FaultSpec, injected_faults
 from repro.scaling.sinkhorn_knopp import scale_sinkhorn_knopp
 
@@ -47,25 +42,6 @@ BACKEND_SPECS = [
     "shm:2",
     "resilient:shm",
 ]
-
-IMPLS = ["numpy", "native"]
-
-
-@contextlib.contextmanager
-def impl_context(impl):
-    """Select a kernel implementation tier for the block, on any host.
-
-    ``native`` without numba runs the exact loop bodies numba would
-    compile, in pure Python, through the full dispatch stack — slow but
-    test-sized, and it keeps the impl×backend matrix meaningful here.
-    """
-    if impl == "native" and not native_available():
-        with force_native_impls():
-            yield
-    else:
-        with kernel_impl(impl):
-            yield
-
 
 @pytest.fixture
 def shm2():
@@ -114,6 +90,86 @@ class TestKernelGrid:
             run_kernel("no_such_kernel", 4, {})
 
 
+class TestOutputValidation:
+    def test_missing_output_binding_raises_typed_error(self):
+        n = 16
+        arrays = {
+            "ptr": np.zeros(n + 1, dtype=np.int64),
+            "ind": np.zeros(0, dtype=np.int64),
+            "opp": np.ones(n),
+            # "out" deliberately missing
+        }
+        with pytest.raises(BackendError) as exc:
+            run_kernel("sk_sweep", n, arrays)
+        assert "sk_sweep" in str(exc.value)
+        assert "out" in str(exc.value)
+
+    def test_error_raised_before_any_worker_runs(self, ):
+        n = 16
+        arrays = {"prices": np.ones(4)}
+        with pytest.raises(BackendError) as exc:
+            run_kernel(
+                "auction_bid", n, arrays,
+                scalars={"eps": 0.1, "dead": 1.0},
+            )
+        msg = str(exc.value)
+        assert "auction_bid" in msg and "bid_col" in msg
+
+
+class TestGridMemoization:
+    def test_grid_cache_hit_counter(self):
+        kern = KERNELS["sk_sweep"]
+        kernels_mod._GRID_CACHE.clear()
+        with telemetry.session():
+            first = kernels_mod.kernel_grid(100_000, kern)
+            second = kernels_mod.kernel_grid(100_000, kern)
+            reg = telemetry.get_registry()
+            hits = reg.counter("parallel.grid.cache_hits").value
+        assert first == second
+        assert hits >= 1
+
+    def test_grid_cache_respects_override(self):
+        kern = KERNELS["sk_sweep"]
+        with kernel_chunk_override(10):
+            inside = kernels_mod.kernel_grid(25, kern)
+        outside = kernels_mod.kernel_grid(25, kern)
+        assert inside == [(0, 10), (10, 20), (20, 25)]
+        assert outside == [(0, 25)]
+
+    def test_grid_returns_fresh_list(self):
+        kern = KERNELS["sk_sweep"]
+        a = kernels_mod.kernel_grid(50_000, kern)
+        a.append((-1, -1))
+        b = kernels_mod.kernel_grid(50_000, kern)
+        assert (-1, -1) not in b
+
+    def test_static_partition_memoized(self):
+        from repro.parallel import partition as part_mod
+
+        part_mod._PARTITION_CACHE.clear()
+        with telemetry.session():
+            first = static_partition(10_000, 4)
+            second = static_partition(10_000, 4)
+            reg = telemetry.get_registry()
+            hits = reg.counter("parallel.grid.cache_hits").value
+        assert first == second
+        assert hits >= 1
+
+    def test_empty_segment_only_chunk_picks_nil(self):
+        # Regression: a chunk of nothing but empty segments used to
+        # index ind_slice[-1] on an empty slice in the numpy kernel.
+        n = 3
+        arrays = {
+            "ptr": np.zeros(n + 1, dtype=np.int64),
+            "ind": np.zeros(0, dtype=np.int64),
+            "weights": np.zeros(0, dtype=np.float64),
+            "draws": np.full(n, 0.5),
+            "out": np.full(n, 7, dtype=np.int64),
+        }
+        run_kernel("choice_flat", n, arrays)
+        assert np.all(arrays["out"] == NIL)
+
+
 class TestBackendEquivalence:
     """Bitwise identity across every backend, on multi-chunk grids."""
 
@@ -159,7 +215,7 @@ class TestBackendEquivalence:
         finally:
             backend.close()
 
-    @pytest.mark.parametrize("spec", ["serial", "shm:2"])
+    @pytest.mark.parametrize("spec", ["serial", "threads:2", "shm:2"])
     def test_parallel_engine_matches_vectorized(self, spec):
         graph = union_of_permutations(900, 4, seed=2)
         want = two_sided_match(graph, 5, seed=13, engine="vectorized")
@@ -196,120 +252,6 @@ class TestBackendEquivalence:
             graph, scaling.dr, scaling.dc, np.random.default_rng(1)
         )
         assert np.array_equal(got, want)
-
-
-@pytest.mark.native
-class TestImplBackendMatrix:
-    """numpy-vs-native bitwise identity over the full impl×backend grid.
-
-    Reuses the backend-equivalence machinery above: the same engines, on
-    multi-chunk grids, with the *implementation* tier as an extra axis.
-    The reference is always the numpy serial run.
-    """
-
-    @pytest.fixture(scope="class")
-    def matrix_graphs(self):
-        return [
-            sprand(500, 3.0, seed=5),
-            sprand(600, 1.5, seed=6),  # has empty rows/cols
-        ]
-
-    @pytest.fixture(scope="class")
-    def matrix_references(self, matrix_graphs):
-        with kernel_chunk_override(97):
-            return [scale_sinkhorn_knopp(g, 3) for g in matrix_graphs]
-
-    @pytest.mark.parametrize("impl", IMPLS)
-    @pytest.mark.parametrize("spec", BACKEND_SPECS)
-    def test_scaling_bitwise_identical(
-        self, spec, impl, matrix_graphs, matrix_references
-    ):
-        with impl_context(impl):
-            backend = get_backend(spec)
-            try:
-                with kernel_chunk_override(97):
-                    for graph, ref in zip(matrix_graphs, matrix_references):
-                        result = scale_sinkhorn_knopp(
-                            graph, 3, backend=backend
-                        )
-                        assert np.array_equal(result.dr, ref.dr)
-                        assert np.array_equal(result.dc, ref.dc)
-                        assert result.error == ref.error
-            finally:
-                backend.close()
-
-    @pytest.mark.parametrize("impl", IMPLS)
-    @pytest.mark.parametrize("spec", BACKEND_SPECS)
-    def test_choices_bitwise_identical(
-        self, spec, impl, matrix_graphs, matrix_references
-    ):
-        with kernel_chunk_override(64):
-            wants = [
-                scaled_row_choices(
-                    graph, ref.dr, ref.dc, np.random.default_rng(3)
-                )
-                for graph, ref in zip(matrix_graphs, matrix_references)
-            ]
-        with impl_context(impl):
-            backend = get_backend(spec)
-            try:
-                with kernel_chunk_override(64):
-                    for graph, ref, want in zip(
-                        matrix_graphs, matrix_references, wants
-                    ):
-                        got = scaled_row_choices(
-                            graph, ref.dr, ref.dc,
-                            np.random.default_rng(3), backend=backend,
-                        )
-                        assert np.array_equal(got, want)
-            finally:
-                backend.close()
-
-    @pytest.mark.parametrize("impl", IMPLS)
-    @pytest.mark.parametrize("spec", ["serial", "threads:2", "shm:2"])
-    def test_parallel_engine_bitwise_identical(self, spec, impl):
-        graph = union_of_permutations(600, 4, seed=2)
-        with kernel_chunk_override(64):
-            want = two_sided_match(
-                graph, 3, seed=13, engine="parallel"
-            )
-        with impl_context(impl):
-            backend = get_backend(spec)
-            try:
-                with kernel_chunk_override(64):
-                    got = two_sided_match(
-                        graph, 3, seed=13, backend=backend,
-                        engine="parallel",
-                    )
-            finally:
-                backend.close()
-        got.matching.validate(graph)
-        assert np.array_equal(
-            got.matching.row_match, want.matching.row_match
-        )
-        assert np.array_equal(
-            got.matching.col_match, want.matching.col_match
-        )
-
-    @pytest.mark.parametrize("impl", IMPLS)
-    @pytest.mark.parametrize("spec", ["serial", "shm:2"])
-    def test_auction_bitwise_identical(self, spec, impl):
-        from repro.matching.exact.auction import auction_match
-
-        graph = union_of_permutations(400, 3, seed=7)
-        with kernel_chunk_override(97):
-            want = auction_match(graph, seed=0)
-        with impl_context(impl):
-            backend = get_backend(spec)
-            try:
-                with kernel_chunk_override(97):
-                    got = auction_match(graph, seed=0, backend=backend)
-            finally:
-                backend.close()
-        assert np.array_equal(
-            got.matching.row_match, want.matching.row_match
-        )
-        assert np.array_equal(got.prices, want.prices)
 
 
 class TestShmPool:

@@ -54,7 +54,7 @@ class TestTwoSidedMatch:
         b = two_sided_match(g, 3, seed=11).matching
         np.testing.assert_array_equal(a.row_match, b.row_match)
 
-    @pytest.mark.parametrize("engine", ["serial", "simulated", "threaded"])
+    @pytest.mark.parametrize("engine", ["serial", "simulated"])
     def test_engines_agree_on_cardinality(self, engine):
         g = sprand(200, 4.0, seed=0)
         scaling = scale_sinkhorn_knopp(g, 3)
