@@ -74,24 +74,28 @@ shard-smoke:
 # Then one traced serve run: the tracer wraps build_graph, Router.request
 # and the ResilientBackend map methods by name, so each of their layers
 # must read above zero rather than silently vanish after a rename.
+# Every run drops an inherited PYTHONPATH: a traced run puts its tracing
+# hook on the path, and with src there too the shm pool's resource
+# tracker imports repro and writes a span file of its own.  run.py finds
+# src itself, and the router adds it for its daemons.
 perfbench-smoke:
 	@mkdir -p .perfbench
 	@for w in batch serve stream; do \
 		out=.perfbench/smoke-$$w.out; \
-		timeout 300 $(PYTHON) perfbench/run.py --workload $$w --seed 1 --seconds 4 > $$out \
+		timeout 300 env -u PYTHONPATH $(PYTHON) perfbench/run.py --workload $$w --seed 1 --seconds 4 > $$out \
 			|| { cat $$out; echo "perfbench-smoke: $$w exited nonzero"; exit 1; }; \
 		tail -n 1 $$out; \
 		tail -n 1 $$out | $(PYTHON) -c "import json, sys; sys.exit(json.load(sys.stdin)['metrics']['ok_frac']['value'] < 1.0)" \
 			|| { cat $$out; echo "perfbench-smoke: $$w ok_frac below 1.0"; exit 1; }; \
 	done
 	@out=.perfbench/smoke-batch-trace.out; \
-	timeout 300 $(PYTHON) perfbench/run.py --workload batch --seed 1 --seconds 4 --trace 1 > $$out \
+	timeout 300 env -u PYTHONPATH $(PYTHON) perfbench/run.py --workload batch --seed 1 --seconds 4 --trace 1 > $$out \
 		|| { cat $$out; echo "perfbench-smoke: traced batch exited nonzero"; exit 1; }; \
 	tail -n 1 $$out; \
 	tail -n 1 $$out | $(PYTHON) -c "import json, sys; m = json.load(sys.stdin)['metrics']; sys.exit(not (m['core.ks_ms']['value'] > 0 and m['parallel.kernel_calls.ks_phase1_scan']['value'] == 0))" \
 		|| { cat $$out; echo "perfbench-smoke: traced batch needs core.ks_ms > 0 and no ks_phase1_scan calls"; exit 1; }
 	@out=.perfbench/smoke-serve-trace.out; \
-	timeout 300 $(PYTHON) perfbench/run.py --workload serve --seed 1 --seconds 4 --trace 1 > $$out \
+	timeout 300 env -u PYTHONPATH $(PYTHON) perfbench/run.py --workload serve --seed 1 --seconds 4 --trace 1 > $$out \
 		|| { cat $$out; echo "perfbench-smoke: traced serve exited nonzero"; exit 1; }; \
 	tail -n 1 $$out; \
 	tail -n 1 $$out | $(PYTHON) -c "import json, sys; m = json.load(sys.stdin)['metrics']; sys.exit(not all(m[k]['value'] > 0 for k in ('serve.router.self_ms', 'serve.daemon.build_graph_ms', 'core.two_sided_ms', 'resilience.map_calls')))" \

@@ -66,12 +66,9 @@ SIZES = {
     "onesided_quality": (1_500, 400),
     "twosided_quality": (1_500, 400),
     "resilient_scale_sk": (20_000, 2_000),
-    # Backend matrix: the same workloads through the fork-per-call
-    # process backend and the persistent zero-copy pool, at a size where
-    # the multi-chunk parallel path actually engages (the smoke size is
-    # a single chunk — overhead tracking only).
-    "proc_scale_sk": (120_000, 8_000),
-    "proc_e2e_twosided": (120_000, 8_000),
+    # Backend matrix: the same workloads through the persistent zero-copy
+    # pool, at a size where the multi-chunk parallel path actually engages
+    # (the smoke size is a single chunk — overhead tracking only).
     "shm_scale_sk": (120_000, 8_000),
     "shm_onesided": (120_000, 8_000),
     "shm_e2e_twosided": (120_000, 8_000),
@@ -208,33 +205,18 @@ def run_workloads(smoke: bool, backend_spec: str = "serial") -> dict[str, dict]:
     finally:
         be.close()
 
-    # Backend matrix: the same workloads through the fork-per-call
-    # process backend and the persistent zero-copy pool.  The *_scale_sk
-    # cells time Sinkhorn-Knopp alone.  The *_e2e_twosided cells pass the
-    # precomputed scaling, so they time choice sampling plus Karp-Sipser
-    # and never SK: an e2e cell can read below its scale_sk cell.  shm vs
-    # proc at equal n is the pool's speedup evidence; shm vs the serial
-    # scale_sk/twosided cells bounds its dispatch overhead (see
-    # docs/performance.md).  Best-of-N absorbs the one-time pool spawn.
-    from repro.parallel import ProcessBackend, SharedMemoryBackend
+    # Backend matrix: the same workloads through the persistent zero-copy
+    # pool.  shm_scale_sk times Sinkhorn-Knopp alone.  shm_onesided and
+    # shm_e2e_twosided pass the precomputed scaling, so they time choice
+    # sampling (plus Karp-Sipser for two-sided) and never SK: an e2e cell
+    # can read below shm_scale_sk.  shm vs the serial scale_sk/twosided
+    # cells bounds the pool's dispatch overhead (see docs/performance.md).
+    # Best-of-N absorbs the one-time pool spawn.
+    from repro.parallel import SharedMemoryBackend
 
-    n = SIZES["proc_scale_sk"][idx]
+    n = SIZES["shm_scale_sk"][idx]
     g = sprand(n, 4.0, seed=0)
     sc = scale_sinkhorn_knopp(g, 5)
-    proc_be = ProcessBackend()
-    try:
-        record_timing(
-            "proc_scale_sk", n,
-            lambda: scale_sinkhorn_knopp(g, 5, backend=proc_be),
-        )
-        record_timing(
-            "proc_e2e_twosided", n,
-            lambda: two_sided_match(
-                g, scaling=sc, seed=1, backend=proc_be, engine="parallel"
-            ),
-        )
-    finally:
-        proc_be.close()
     shm_be = SharedMemoryBackend()
     try:
         record_timing(

@@ -235,7 +235,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     backends = (
         ("serial",)
         if args.smoke
-        else ("serial", "threads:2", "processes:2", "shm:2")
+        else ("serial", "threads:2", "shm:2")
     )
     n = min(args.n, 200) if args.smoke else args.n
     report = run_chaos(
@@ -610,7 +610,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     p_tel.add_argument(
         "--backend", default=None,
-        help="parallel backend spec (e.g. threads:4, processes:2, shm:2)",
+        help="parallel backend spec (e.g. threads:4, shm:2)",
     )
     p_tel.add_argument("--repeat", type=int, default=1)
     p_tel.add_argument(

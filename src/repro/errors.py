@@ -96,18 +96,18 @@ class ScheduleError(BackendError):
 class WorkerCrashError(BackendError):
     """A backend worker died before returning its chunk's result.
 
-    Raised when a forked child exits (or is killed) without writing to its
-    result pipe, or when an injected crash fault fires on an in-process
-    worker.  The message names the chunk range and, for processes, the exit
-    code.
+    Raised when a shared-memory pool worker exits (or is killed) mid-call,
+    or when an injected crash fault fires on an in-process worker.  The
+    message names the chunk range or, for the pool, the workers' exit
+    status.
     """
 
 
 class DeadlineExceededError(BackendError):
     """A chunk did not complete within the configured per-call deadline.
 
-    :class:`~repro.resilience.ResilientBackend` kills expired child
-    processes outright; hung threads cannot be killed in CPython and are
+    :class:`~repro.resilience.ResilientBackend` runs every attempt on a
+    runner thread; hung threads cannot be killed in CPython and are
     abandoned (they finish in the background), but the call still returns
     or raises within the deadline budget.
     """

@@ -9,9 +9,10 @@ This package reproduces that environment three ways:
   interleaves them (round-robin, random, or adversarial).  This is how the
   concurrency-safety claims of ``KarpSipserMT`` (Algorithm 4) are verified —
   under far more hostile schedules than one real machine run would exercise.
-* :mod:`repro.parallel.backends` — real execution backends (serial /
-  threads / processes) for the data-parallel kernels where numpy releases
-  the GIL.
+* :mod:`repro.parallel.backends` and :mod:`repro.parallel.shm` — real
+  execution backends (serial, threads, and the persistent shared-memory
+  worker pool) for the data-parallel kernels where numpy releases the
+  GIL.
 * :mod:`repro.parallel.machine` — a calibrated cost model that converts the
   *work profile* of a run (per-chunk operation counts) into simulated
   parallel times for p threads, with OpenMP-style dynamic/guided/static
@@ -25,7 +26,6 @@ from repro.parallel.backends import (
     Backend,
     SerialBackend,
     ThreadBackend,
-    ProcessBackend,
     default_worker_count,
     get_backend,
 )
@@ -47,7 +47,6 @@ __all__ = [
     "Backend",
     "SerialBackend",
     "ThreadBackend",
-    "ProcessBackend",
     "SharedMemoryBackend",
     "WorkerCrashError",
     "default_worker_count",

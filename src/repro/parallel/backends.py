@@ -1,6 +1,6 @@
-"""Real execution backends for data-parallel kernels.
+"""In-process execution backends for data-parallel kernels.
 
-Three backends share one tiny interface, :class:`Backend`: map a function
+The backends share one tiny interface, :class:`Backend`: map a function
 over contiguous index ranges and return the per-range results in partition
 order.
 
@@ -9,13 +9,11 @@ order.
   serialise pure-Python bodies, but the kernels this library parallelises
   are numpy segment reductions and gathers, which release the GIL inside
   numpy; on multi-core hosts this yields real concurrency.
-* :class:`ProcessBackend` — forks one child per range, per call.  The
-  kernel function is *inherited through the fork* (closures over large
-  arrays work and are not copied through pickling); only the per-range
-  **return values** travel back through a pipe, so kernels must return
-  their results rather than write into shared output arrays.  It is the
-  honest demonstration backend for CPU-bound pure-Python work, not the
-  fast path.
+
+Both run every chunk in the caller's process, so kernels may write their
+output slices into the caller's arrays in place.  The persistent
+shared-memory worker pool (:class:`~repro.parallel.shm.SharedMemoryBackend`,
+spec ``"shm"``) is the one multi-process backend.
 
 When telemetry is enabled (:mod:`repro.telemetry`), every ``map_ranges``
 call records per-chunk wall times into the ``parallel.<label>.chunk``
@@ -46,7 +44,7 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Sequence
 
 from repro import telemetry as _tm
-from repro.errors import BackendError, WorkerCrashError
+from repro.errors import BackendError
 from repro.parallel.partition import static_partition
 from repro.resilience import faults as _faults
 
@@ -54,7 +52,6 @@ __all__ = [
     "Backend",
     "SerialBackend",
     "ThreadBackend",
-    "ProcessBackend",
     "default_worker_count",
     "get_backend",
 ]
@@ -93,17 +90,14 @@ def _record_chunks(label: str, durations: Sequence[float]) -> None:
 
 
 def _faulty_range_fn(
-    fn: RangeFn, plan: "_faults.FaultPlan", label: str, parts: Parts,
-    in_child: bool,
+    fn: RangeFn, plan: "_faults.FaultPlan", label: str, parts: Parts
 ) -> RangeFn:
-    """Bind one call's fault draws (made now, in the parent) onto *fn*."""
+    """Bind one call's fault draws (made now, on the caller) onto *fn*."""
     specs = plan.plan_call(label, len(parts))
     by_range = {part: spec for part, spec in zip(parts, specs)}
 
     def faulty(lo: int, hi: int) -> Any:
-        return _faults.execute_with_fault(
-            by_range.get((lo, hi)), fn, lo, hi, in_child=in_child
-        )
+        return _faults.execute_with_fault(by_range.get((lo, hi)), fn, lo, hi)
 
     return faulty
 
@@ -115,15 +109,9 @@ class Backend(abc.ABC):
     n_workers: int = 1
     #: Short name used in telemetry metric paths and fault addressing.
     label: str = "backend"
-    #: Whether workers see (and may write) the caller's arrays directly.
-    #: False for process-isolated backends, whose kernels must *return*
-    #: results instead of mutating closed-over arrays.
-    shares_memory: bool = True
     #: Whether the backend executes registered kernels natively over
     #: published shared-memory segments (see :mod:`repro.parallel.kernels`).
     supports_kernels: bool = False
-    #: Whether injected faults run inside a forked child (crash = exit).
-    _faults_in_child: bool = False
 
     def partition(self, n: int) -> list[tuple[int, int]]:
         """The static chunk decomposition a ``map_ranges(fn, n)`` call uses
@@ -143,9 +131,7 @@ class Backend(abc.ABC):
         worker count) on every backend."""
         plan = _faults.active_plan()
         if plan is not None:
-            fn = _faulty_range_fn(
-                fn, plan, self.label, parts, self._faults_in_child
-            )
+            fn = _faulty_range_fn(fn, plan, self.label, parts)
         if not _tm.enabled():
             return self._map_ranges(fn, parts)
         durations: list[float] = []
@@ -234,127 +220,18 @@ class ThreadBackend(Backend):
         return f"ThreadBackend(n_workers={self.n_workers})"
 
 
-def _child_range(fn: RangeFn, lo: int, hi: int, conn) -> None:
-    """Run one range in a forked child and ship ``(ok, dt, result)`` back."""
-    t0 = time.perf_counter()
-    try:
-        result = fn(lo, hi)
-        ok = True
-    except BaseException as exc:  # noqa: BLE001 - report to the parent
-        result = exc
-        ok = False
-    dt = time.perf_counter() - t0
-    try:
-        conn.send((ok, dt, result))
-    except Exception as exc:  # result (or exception) not picklable
-        try:
-            conn.send(
-                (False, dt, BackendError(f"could not return result: {exc}"))
-            )
-        except Exception:  # pragma: no cover - pipe already gone
-            pass
-    finally:
-        conn.close()
-
-
-class ProcessBackend(Backend):
-    """Fork-per-call process backend.
-
-    Each ``map_ranges`` call forks one child per range: the kernel and its
-    closed-over arrays are inherited by the fork (no pickling of the
-    function, no argument copies), and only the per-range return value is
-    pickled back through a pipe.  Side effects the kernel makes on arrays
-    happen in the child's copy-on-write memory and are *not* visible to
-    the parent — kernels must return their results, which is the library
-    convention (see :mod:`repro.parallel.reduction`).
-
-    A child that dies before writing its result (crash, ``os._exit``,
-    signal) surfaces as a :class:`~repro.errors.WorkerCrashError` naming
-    the chunk range and the exit status — never a raw ``EOFError``.
-    """
-
-    label = "processes"
-    shares_memory = False
-    _faults_in_child = True
-
-    def __init__(self, n_workers: int | None = None) -> None:
-        import multiprocessing as mp
-
-        self.n_workers = default_worker_count() if n_workers is None else n_workers
-        if self.n_workers < 1:
-            raise BackendError(f"n_workers must be >= 1, got {self.n_workers}")
-        try:
-            self._ctx = mp.get_context("fork")
-        except ValueError as exc:  # pragma: no cover - non-POSIX
-            raise BackendError("ProcessBackend requires fork support") from exc
-
-    def map_chunks(self, fn: RangeFn, parts: Parts) -> list[Any]:
-        plan = _faults.active_plan()
-        if plan is not None:
-            fn = _faulty_range_fn(fn, plan, self.label, parts, in_child=True)
-        record = _tm.enabled()
-        pairs = self._run(fn, parts)
-        if record:
-            _record_chunks(self.label, [dt for _, dt in pairs])
-        return [result for result, _ in pairs]
-
-    def _map_ranges(self, fn: RangeFn, parts: Parts) -> list[Any]:
-        return [result for result, _ in self._run(fn, parts)]
-
-    def _run(self, fn: RangeFn, parts: Parts) -> list[tuple[Any, float]]:
-        if not parts:
-            return []
-        procs = []
-        conns = []
-        for lo, hi in parts:
-            recv, send = self._ctx.Pipe(duplex=False)
-            proc = self._ctx.Process(
-                target=_child_range, args=(fn, lo, hi, send)
-            )
-            proc.start()
-            send.close()
-            procs.append(proc)
-            conns.append(recv)
-        out: list[tuple[Any, float]] = []
-        failure: BaseException | None = None
-        for proc, conn, (lo, hi) in zip(procs, conns, parts):
-            try:
-                ok, dt, payload = conn.recv()
-            except EOFError:
-                # The child died before sending anything; join it to
-                # collect the exit status for the diagnostic.
-                proc.join()
-                ok, dt, payload = False, 0.0, WorkerCrashError(
-                    f"worker for range [{lo}, {hi}) exited with status "
-                    f"{proc.exitcode} before returning a result"
-                )
-            conn.close()
-            proc.join()
-            if ok:
-                out.append((payload, dt))
-            elif failure is None:
-                failure = (
-                    payload
-                    if isinstance(payload, BaseException)
-                    else BackendError(str(payload))
-                )
-        if failure is not None:
-            raise failure
-        return out
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"ProcessBackend(n_workers={self.n_workers})"
-
-
 def get_backend(spec: "Backend | str | None") -> Backend:
     """Resolve a backend specification.
 
     Accepts an existing :class:`Backend`, ``None`` (serial), or a string:
-    ``"serial"``, ``"threads"``, ``"threads:4"``, ``"processes"``,
-    ``"processes:2"``, ``"shm"``, ``"shm:4"`` (persistent zero-copy worker
-    pool, :class:`~repro.parallel.shm.SharedMemoryBackend`), or
+    ``"serial"``, ``"threads"``, ``"threads:4"``, ``"shm"``, ``"shm:4"``
+    (persistent zero-copy worker pool,
+    :class:`~repro.parallel.shm.SharedMemoryBackend`), or
     ``"resilient:<inner spec>"`` (e.g. ``"resilient:threads:4"``) for a
     default-configured :class:`~repro.resilience.ResilientBackend` wrapper.
+    A malformed spec — unknown name, a count that is not an integer, a
+    count on ``"serial"`` — raises :class:`~repro.errors.BackendError`
+    naming it.
     """
     if spec is None:
         return SerialBackend()
@@ -367,15 +244,22 @@ def get_backend(spec: "Backend | str | None") -> Backend:
         from repro.resilience.resilient import ResilientBackend
 
         return ResilientBackend(get_backend(count or None))
-    workers = int(count) if count else None
     if name == "serial":
+        if count:
+            raise BackendError(
+                f"backend spec {spec!r}: serial takes no worker count"
+            )
         return SerialBackend()
+    if name not in ("threads", "shm"):
+        raise BackendError(f"unknown backend {name!r} in spec {spec!r}")
+    try:
+        workers = int(count) if count else None
+    except ValueError:
+        raise BackendError(
+            f"backend spec {spec!r}: worker count {count!r} is not an integer"
+        ) from None
     if name == "threads":
         return ThreadBackend(workers)
-    if name == "processes":
-        return ProcessBackend(workers)
-    if name == "shm":
-        from repro.parallel.shm import SharedMemoryBackend
+    from repro.parallel.shm import SharedMemoryBackend
 
-        return SharedMemoryBackend(workers)
-    raise BackendError(f"unknown backend {name!r}")
+    return SharedMemoryBackend(workers)

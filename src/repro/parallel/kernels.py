@@ -5,16 +5,14 @@ scaled 1-out choice sampling, and the auction's bidding sweep — are
 *registered kernels*: named module-level functions with the signature
 ``fn(lo, hi, views)`` that read whole arrays from *views* and write only
 the ``[lo, hi)`` slice of their declared output arrays (plus a small
-per-chunk return value).  Registering them buys three things:
+per-chunk return value).  Registering them buys two things:
 
 * every backend runs the *same* function over the *same* chunk grid, so
-  results are bitwise identical across serial, threads, processes, and
-  the shared-memory pool by construction;
+  results are bitwise identical across serial, threads, and the
+  shared-memory pool by construction;
 * the :class:`~repro.parallel.shm.SharedMemoryBackend` can ship a kernel
   *by name* to its persistent workers — the task message is a name plus
-  segment bindings and a range, never the arrays themselves;
-* process-isolated backends can still participate: the dispatcher has
-  their workers return the output slices and reassembles in the parent.
+  segment bindings and a range, never the arrays themselves.
 
 Chunk grid
 ----------
@@ -52,7 +50,6 @@ from repro.matching.matching import NIL
 from repro.parallel.backends import Backend, get_backend
 from repro.parallel.partition import chunk_ranges
 from repro.parallel.reduction import segment_sums
-from repro.resilience import faults as _faults
 
 __all__ = [
     "Kernel",
@@ -197,16 +194,13 @@ def run_kernel(
     *arrays* maps view names to numpy arrays (inputs and outputs alike);
     *scalars* adds plain values to the views.  Output arrays are written
     in place; the list of per-chunk return values comes back in grid
-    order.  Dispatch:
+    order.  Two dispatch paths:
 
     * a backend with ``supports_kernels`` (the shared-memory pool) ships
       ``(kernel name, segment bindings, range)`` tasks to its persistent
       workers — zero array traffic;
-    * a ``shares_memory`` backend (serial/threads) runs the kernel
-      in-process, writing outputs directly;
-    * anything else (process-isolated workers) returns each chunk's
-      output slices through its result channel and the parent
-      reassembles them here.
+    * any other backend (serial, threads, the resilient wrapper) runs the
+      kernel in-process over the grid, writing outputs directly.
     """
     kern = KERNELS.get(name)
     if kern is None:
@@ -228,25 +222,7 @@ def run_kernel(
     views: dict[str, Any] = dict(arrays)
     if scalars:
         views.update(scalars)
-    if be.shares_memory:
-        return be.map_chunks(lambda lo, hi: kern.fn(lo, hi, views), parts)
-
-    # Process-isolated workers mutate copy-on-write pages the parent never
-    # sees, so have each chunk return its output slices for reassembly.
-    def isolated(lo: int, hi: int) -> tuple[Any, dict[str, np.ndarray]]:
-        ret = kern.fn(lo, hi, views)
-        return ret, {nm: views[nm][lo:hi] for nm in kern.outputs}
-
-    rets: list[Any] = []
-    for payload, (lo, hi) in zip(be.map_chunks(isolated, parts), parts):
-        if _faults.is_corrupted(payload):
-            rets.append(payload)
-            continue
-        ret, slices = payload
-        for nm, piece in slices.items():
-            arrays[nm][lo:hi] = piece
-        rets.append(ret)
-    return rets
+    return be.map_chunks(lambda lo, hi: kern.fn(lo, hi, views), parts)
 
 
 # ----------------------------------------------------------------------

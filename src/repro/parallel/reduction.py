@@ -90,11 +90,9 @@ def segment_sums_parallel(
     if n_seg <= 0:
         return np.empty(max(n_seg, 0), dtype=np.float64)
 
-    # Workers *return* their block of sums (rather than writing into a
-    # shared output array) so the kernel also runs on process backends,
-    # where side effects stay in the child.  Each segment's sum depends
-    # only on its own slice, so the concatenated result is bitwise
-    # identical across backends and worker counts.
+    # Workers return their block of sums, concatenated in partition order.
+    # Each segment's sum depends only on its own slice, so the result is
+    # bitwise identical across backends and worker counts.
     def work(lo: int, hi: int) -> FloatArray:
         sub_ptr = ptr[lo : hi + 1] - ptr[lo]
         sub_vals = values[ptr[lo] : ptr[hi]]

@@ -2,9 +2,9 @@
 
 The paper's speedups assume shared-memory threads: workers read the CSR
 arrays in place and write results in place, and the only coordination
-cost is handing out loop chunks.  CPython's process backends break that
-assumption — ``ProcessBackend`` forks per call and pickles results back.
-This backend restores it with real processes:
+cost is handing out loop chunks.  Forking per call and pickling results
+back would break that assumption.  This backend keeps it with a
+persistent pool of real processes, as follows.
 
 * **Persistent pool** — workers are forked once (lazily, on the first
   kernel call) and reused across calls; a call costs queue messages, not
@@ -31,10 +31,10 @@ This backend restores it with real processes:
   liveness polling; the call raises
   :class:`~repro.errors.WorkerCrashError` and the next call respawns a
   fresh pool with fresh queues, so one death never poisons later calls.
-  ``"resilient:shm"`` composes: the wrapper retries chunks on its own
-  threads (closures cannot reach pre-forked workers, so resilient
-  attempts use the in-process kernel path; the pool serves plain
-  ``run_kernel`` callers).
+  ``"resilient:shm"`` never reaches the pool: the wrapper runs every
+  attempt on its own threads (closures cannot reach pre-forked workers),
+  so resilient calls use the in-process kernel path and the pool serves
+  plain ``run_kernel`` callers only.
 * **Telemetry** — per-chunk wall times measured inside the workers feed
   the standard ``parallel.shm.chunk`` timer and imbalance gauge.
 
@@ -274,7 +274,6 @@ class SharedMemoryBackend(Backend):
     """
 
     label = "shm"
-    shares_memory = True
     supports_kernels = True
 
     def __init__(

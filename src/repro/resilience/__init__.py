@@ -11,8 +11,8 @@ spirit to the *operational* failure modes of a shared-memory service:
   the explicit :func:`injected_faults` context manager; production calls
   pay a single ``is None`` check.
 * :mod:`repro.resilience.resilient` — :class:`ResilientBackend`, a
-  wrapper adding per-chunk deadlines (expired children are killed),
-  bounded retries with exponential backoff and deterministic jitter, and
+  wrapper adding per-chunk deadlines (expired attempts are abandoned on
+  its runner threads), bounded retries with exponential backoff and deterministic jitter, and
   re-execution of only the failed ranges.  Exhaustion raises typed errors
   (:class:`~repro.errors.WorkerCrashError`,
   :class:`~repro.errors.DeadlineExceededError`,

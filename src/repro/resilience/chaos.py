@@ -796,7 +796,7 @@ def _run_cell(
 def run_chaos(
     n: int = 600,
     *,
-    backends: Sequence[str] = ("serial", "threads:2", "processes:2", "shm:2"),
+    backends: Sequence[str] = ("serial", "threads:2", "shm:2"),
     schedules: Mapping[str, FaultPlan] | None = None,
     deadline: float = 0.3,
     max_retries: int = 3,

@@ -16,9 +16,9 @@ Fault kinds
 -----------
 
 ``crash``
-    The worker dies.  In a forked child this is a hard ``os._exit`` (the
-    parent sees EOF on the result pipe and a nonzero exit status); on an
-    in-process worker it raises :class:`~repro.errors.WorkerCrashError`.
+    The worker dies.  In a shared-memory pool worker this is a hard
+    ``os._exit`` (the pool sees the worker gone and its exit status); on
+    an in-process worker it raises :class:`~repro.errors.WorkerCrashError`.
 ``hang``
     The worker stalls for ``seconds`` (default 30) before completing
     normally — long enough to trip any sane deadline, bounded so that
@@ -92,7 +92,7 @@ __all__ = [
     "is_corrupted",
 ]
 
-#: Exit status used by injected child-process crashes (ASCII 'I' — makes
+#: Exit status used by injected pool-worker crashes (ASCII 'I' — makes
 #: injected deaths distinguishable from real ones in test output).
 CRASH_EXIT_CODE = 73
 
@@ -182,7 +182,7 @@ class FaultSpec:
         value).
     backend:
         Restrict to backends with this label (``"serial"``, ``"threads"``,
-        ``"processes"``); ``None`` matches every backend.
+        ``"shm"``); ``None`` matches every backend.
     chunk:
         Restrict to this chunk index within a call; ``None`` matches all.
     call:
@@ -234,9 +234,9 @@ class FaultSpec:
 class FaultPlan:
     """A seeded, deterministic schedule of injectable faults.
 
-    The plan is consulted in the *parent* (the thread/process issuing the
-    map call), never inside workers, so hit accounting survives child
-    crashes and fork copies.  Thread-safe.
+    The plan is consulted by the caller (the thread issuing the map
+    call), never inside workers, so hit accounting survives a pool
+    worker's crash.  Thread-safe.
     """
 
     def __init__(self, specs: Sequence[FaultSpec], seed: int = 0) -> None:
@@ -340,8 +340,8 @@ def execute_with_fault(
 ) -> Any:
     """Run ``fn(lo, hi)`` under *spec* (``None`` = run clean).
 
-    *in_child* marks execution inside a forked worker, where ``crash``
-    means a hard ``os._exit`` rather than an exception.
+    *in_child* marks execution inside a shared-memory pool worker, where
+    ``crash`` means a hard ``os._exit`` rather than an exception.
     """
     if spec is None:
         return fn(lo, hi)

@@ -2,21 +2,26 @@
 
 The wrapper owns chunk execution instead of delegating whole calls to the
 inner backend: each range runs as an independently supervised *attempt*
-(a forked child for a :class:`~repro.parallel.ProcessBackend` inner,
-otherwise a daemon thread reused from a
-:class:`~repro.resilience.deadline.RunnerPool`), so one failed or
-stalled chunk can be retried alone while the other chunks' results are
-kept — exploiting the library convention that kernels *return* their
-slice rather than mutate shared state.
+on a daemon thread reused from the wrapper's own
+:class:`~repro.resilience.deadline.RunnerPool`, so one failed or stalled
+chunk can be retried alone while the other chunks' results are kept.
+Every attempt runs on these runner threads, in this process, whatever
+the inner spec: the inner backend only names the worker count, the
+fault-addressing label and the telemetry label — it never executes a
+chunk.  ``"resilient:shm"`` therefore never starts the shared-memory
+pool; kernels write their slices into the caller's arrays in place (a
+retry closure cannot be shipped to pre-forked workers that only execute
+registered kernels by name).
 
 Failure handling:
 
-* A child process that dies raises
-  :class:`~repro.errors.WorkerCrashError` (exit status in the message).
+* An injected ``crash`` fault raises
+  :class:`~repro.errors.WorkerCrashError`.
 * An attempt exceeding the per-chunk ``deadline`` raises
-  :class:`~repro.errors.DeadlineExceededError`; expired children are
-  killed, expired threads are abandoned (CPython threads cannot be
-  killed) but the caller still gets its answer within the budget.
+  :class:`~repro.errors.DeadlineExceededError`.  Nothing is killed: the
+  expired runner thread is abandoned (CPython threads cannot be killed)
+  and finishes in the background, but the caller still gets its answer
+  within the budget.
 * A payload failing the integrity check (the fault injector's
   :data:`~repro.resilience.CORRUPTED` marker) raises
   :class:`~repro.errors.ResultCorruptionError`.
@@ -40,13 +45,6 @@ was promised.  Exhausting the budget raises a typed
 Telemetry: every fault, failure, retry, and recovery increments a
 ``resilience.*`` counter and emits a span event, so a chaos run's story
 is reconstructable from the event trace alone.
-
-Composing with :class:`~repro.parallel.SharedMemoryBackend`
-(``"resilient:shm"``): attempts run on the wrapper's runner threads rather
-than the inner pool's pre-forked workers (a retry closure cannot be
-shipped to a worker that only executes registered kernels), so the
-wrapper provides the retry/deadline contract while kernels still write
-their slices into the caller's arrays in place.
 """
 
 from __future__ import annotations
@@ -64,12 +62,7 @@ from repro.errors import (
     RetryExhaustedError,
     WorkerCrashError,
 )
-from repro.parallel.backends import (
-    Backend,
-    ProcessBackend,
-    RangeFn,
-    get_backend,
-)
+from repro.parallel.backends import Backend, RangeFn, get_backend
 from repro.resilience import faults as _faults
 from repro.resilience.backoff import BackoffPolicy
 from repro.resilience.deadline import Deadline, RunnerPool, current_deadline
@@ -80,37 +73,23 @@ __all__ = ["ResilientBackend"]
 _RETRYABLE = (WorkerCrashError, DeadlineExceededError, ResultCorruptionError)
 
 
-def _attempt_child(fn: RangeFn, lo: int, hi: int, spec, conn) -> None:
-    """Run one supervised attempt inside a forked child."""
-    try:
-        result = _faults.execute_with_fault(spec, fn, lo, hi, in_child=True)
-        ok = True
-    except BaseException as exc:  # noqa: BLE001 - report to the parent
-        result = exc
-        ok = False
-    try:
-        conn.send((ok, result))
-    except Exception as exc:  # payload not picklable
-        try:
-            conn.send((False, BackendError(f"could not return result: {exc}")))
-        except Exception:  # pragma: no cover - pipe already gone
-            pass
-    finally:
-        conn.close()
-
-
 class ResilientBackend(Backend):
     """Deadline/retry wrapper around any execution backend.
+
+    Every attempt runs on the wrapper's runner threads, whatever the
+    inner spec; an attempt past its deadline is abandoned, never killed.
 
     Parameters
     ----------
     inner:
         The wrapped backend (a :class:`~repro.parallel.Backend`, a spec
-        string, or ``None`` for serial).  Fault rules address the *inner*
-        label, so one plan drives plain and resilient runs identically.
+        string, or ``None`` for serial).  It names the worker count and
+        the label that fault rules and telemetry address — one plan
+        drives plain and resilient runs identically — but it executes no
+        chunks.
     deadline:
-        Per-attempt wall-clock budget in seconds.  Expired child
-        processes are killed; expired threads are abandoned.
+        Per-attempt wall-clock budget in seconds.  An expired attempt's
+        runner thread is abandoned and finishes in the background.
     max_retries:
         Re-executions allowed per chunk after the first attempt.
     backoff:
@@ -163,13 +142,6 @@ class ResilientBackend(Backend):
         self.max_backoff = max_backoff
         self.jitter = jitter
         self.seed = seed
-        self._fork = isinstance(self.inner, ProcessBackend)
-        self._ctx = self.inner._ctx if self._fork else None
-        # Thread attempts run the kernel closure in this process, so
-        # in-place writes land in the caller's arrays; forked attempts
-        # keep side effects in the child.  The kernel dispatcher
-        # (:func:`repro.parallel.kernels.run_kernel`) keys off this.
-        self.shares_memory = not self._fork
         self._runners = RunnerPool("resilient-attempt")
         weakref.finalize(self, self._runners.close)
 
@@ -309,7 +281,7 @@ class ResilientBackend(Backend):
                 else None
             )
             try:
-                result = self._attempt(fn, lo, hi, spec, deadline)
+                result = self._attempt_thread(fn, lo, hi, spec, deadline)
                 if _faults.is_corrupted(result):
                     raise ResultCorruptionError(
                         f"integrity check failed for range [{lo}, {hi})"
@@ -358,23 +330,12 @@ class ResilientBackend(Backend):
         _tm.incr("resilience.exhausted_chunks")
         errors[idx] = exhausted
 
-    def _attempt(
-        self, fn: RangeFn, lo: int, hi: int, spec, deadline: float | None = None
-    ) -> Any:
-        if deadline is None:
-            deadline = self.deadline
-        if self._fork:
-            return self._attempt_fork(fn, lo, hi, spec, deadline)
-        return self._attempt_thread(fn, lo, hi, spec, deadline)
-
     def _attempt_thread(
         self, fn: RangeFn, lo: int, hi: int, spec, deadline: float
     ) -> Any:
         """One attempt on a reused runner thread, joined with timeout."""
         call = self._runners.start(
-            lambda: _faults.execute_with_fault(
-                spec, fn, lo, hi, in_child=False
-            )
+            lambda: _faults.execute_with_fault(spec, fn, lo, hi)
         )
         if not call.join(deadline):
             raise DeadlineExceededError(
@@ -382,42 +343,3 @@ class ResilientBackend(Backend):
                 f"deadline (worker thread abandoned)"
             )
         return call.result()
-
-    def _attempt_fork(
-        self, fn: RangeFn, lo: int, hi: int, spec, deadline: float
-    ) -> Any:
-        """One attempt in a forked child, killed on deadline expiry."""
-        recv, send = self._ctx.Pipe(duplex=False)
-        proc = self._ctx.Process(
-            target=_attempt_child, args=(fn, lo, hi, spec, send)
-        )
-        proc.start()
-        send.close()
-        try:
-            # poll() also wakes on EOF, so crashes surface immediately
-            # rather than after the full deadline.
-            if not recv.poll(deadline):
-                proc.kill()
-                proc.join()
-                raise DeadlineExceededError(
-                    f"range [{lo}, {hi}) exceeded the {deadline:.3g}s "
-                    f"deadline (worker pid {proc.pid} killed)"
-                )
-            try:
-                ok, payload = recv.recv()
-            except EOFError:
-                proc.join()
-                raise WorkerCrashError(
-                    f"worker for range [{lo}, {hi}) exited with status "
-                    f"{proc.exitcode} before returning a result"
-                ) from None
-        finally:
-            recv.close()
-        proc.join()
-        if not ok:
-            raise (
-                payload
-                if isinstance(payload, BaseException)
-                else BackendError(str(payload))
-            )
-        return payload

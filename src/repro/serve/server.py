@@ -21,14 +21,19 @@ path:
   ``two_sided → one_sided → greedy``; the response carries the rung it
   was served at plus the matching quality guarantee for that rung, the
   same contract as :attr:`~repro.scaling.ScalingResult.rung`.
-* **Circuit breaker** — consecutive worker crashes / deadline misses
+* **Execution** — every backend is wrapped in a
+  :class:`~repro.resilience.ResilientBackend`, which runs each chunk
+  attempt on its own runner threads in this process; the inner spec only
+  names the worker count and the fault/telemetry label.  With an
+  ``"shm"`` spec the shared-memory pool never starts.
+* **Circuit breaker** — consecutive chunk crashes / deadline misses
   open the breaker (:mod:`repro.serve.breaker`); submissions fail fast
-  with :class:`~repro.errors.CircuitOpenError` while the pool respawns,
-  then half-open probes close it.
+  with :class:`~repro.errors.CircuitOpenError` until the cooldown
+  elapses, then half-open probes close it.
 * **Graceful drain** — :meth:`MatchingServer.drain` stops admission,
   completes (or typed-fails) everything queued, waits for in-flight
-  requests, then drains the execution backend (the shared-memory pool
-  finishes its in-flight chunks and unlinks its segments).
+  requests, then drains the execution backend (the resilient wrapper
+  stops its runner threads and drains its inner backend).
 * **Probes + telemetry** — :meth:`health` / :meth:`ready` for liveness
   and readiness, and ``serve.*`` counters/gauges/timers throughout.
 
@@ -428,7 +433,9 @@ class MatchingServer:
     # -- probes --------------------------------------------------------
 
     def ready(self) -> bool:
-        """Readiness: accepting, breaker not open, workers and pool alive."""
+        """Readiness: accepting, breaker not open, serving workers alive
+        and the backend healthy (the inner backend's probe — a pool that
+        was never started counts as healthy)."""
         return (
             self._accepting
             and not self._closed

@@ -8,8 +8,8 @@ Two families of oracle checks:
   cardinalities — for every seed, schedule policy, and thread count.
 * The parallel backends only change *how* work is partitioned, never
   *what* is computed: ScaleSK scaling vectors and the scaled 1-out
-  choices must be **bitwise identical** across SerialBackend,
-  ThreadBackend, and ProcessBackend.
+  choices must be **bitwise identical** across SerialBackend and
+  ThreadBackend (and, for the auction, the shared-memory pool).
 """
 
 from __future__ import annotations
@@ -25,11 +25,7 @@ from repro.core.karp_sipser_mt import (
 )
 from repro.graph.generators import sprand, sprand_rect
 from repro.matching.matching import NIL
-from repro.parallel.backends import (
-    ProcessBackend,
-    SerialBackend,
-    ThreadBackend,
-)
+from repro.parallel.backends import SerialBackend, ThreadBackend
 from repro.parallel.simthread import SchedulePolicy
 from repro.scaling import scale_sinkhorn_knopp
 
@@ -94,7 +90,6 @@ def _backends():
     return [
         ("serial", SerialBackend()),
         ("threads", ThreadBackend(3)),
-        ("processes", ProcessBackend(2)),
     ]
 
 
@@ -206,7 +201,6 @@ def _auction_backends():
     return [
         ("serial", SerialBackend()),
         ("threads", ThreadBackend(3)),
-        ("processes", ProcessBackend(2)),
         ("shm", get_backend("shm:2")),
     ]
 

@@ -20,7 +20,6 @@ from repro.errors import (
     WorkerCrashError,
 )
 from repro.parallel import (
-    ProcessBackend,
     SerialBackend,
     ThreadBackend,
     get_backend,
@@ -209,7 +208,7 @@ class TestResilientBackend:
         finally:
             be.close()
 
-    @pytest.mark.parametrize("inner", ["serial", "threads:2", "processes:2"])
+    @pytest.mark.parametrize("inner", ["serial", "threads:2", "shm:2"])
     def test_clean_run_bitwise_equal(self, inner):
         reference = SerialBackend().map_ranges(_identity_range, 37)
         be = ResilientBackend(inner, deadline=10.0)
@@ -234,12 +233,17 @@ class TestResilientBackend:
         assert reg.counter("resilience.retries").value == 1
         assert reg.counter("resilience.recovered_chunks").value == 1
 
-    def test_crash_recovered_process_inner(self):
-        plan = FaultPlan([FaultSpec("crash", chunk=0, max_hits=1)])
-        be = ResilientBackend("processes:2", deadline=10.0, backoff=0.01)
+    def test_crash_recovered_shm_inner(self):
+        """``resilient:shm`` retries on the wrapper's runner threads: the
+        crash is recovered and the pool is never started."""
+        plan = FaultPlan(
+            [FaultSpec("crash", backend="shm", chunk=0, max_hits=1)]
+        )
+        be = ResilientBackend("shm:2", deadline=10.0, backoff=0.01)
         try:
             with injected_faults(plan):
                 out = be.map_ranges(_identity_range, 16)
+            assert be.inner._procs == []
         finally:
             be.close()
         np.testing.assert_array_equal(np.concatenate(out), np.arange(16))

@@ -2,8 +2,8 @@
 
 Covers the three contracts the zero-copy path makes:
 
-* **equivalence** — every backend (serial, threads, processes, shm,
-  resilient wrappers) produces bitwise-identical scaling vectors,
+* **equivalence** — every backend (serial, threads, shm, resilient
+  wrappers) produces bitwise-identical scaling vectors,
   choices, and matchings, including on multi-chunk grids;
 * **zero-copy** — a kernel call ships only names, ranges, and scalars to
   the pool: no array ever crosses the process boundary by pickling;
@@ -32,13 +32,17 @@ from repro.parallel import (
 )
 from repro.parallel.kernels import KERNELS, kernel_grid
 from repro.parallel.partition import static_partition
-from repro.resilience.faults import FaultPlan, FaultSpec, injected_faults
+from repro.resilience.faults import (
+    CRASH_EXIT_CODE,
+    FaultPlan,
+    FaultSpec,
+    injected_faults,
+)
 from repro.scaling.sinkhorn_knopp import scale_sinkhorn_knopp
 
 BACKEND_SPECS = [
     "serial",
     "threads:2",
-    "processes:2",
     "shm:2",
     "resilient:shm",
 ]
@@ -315,9 +319,12 @@ class TestShmPool:
             [FaultSpec("crash", backend="shm", max_hits=1)], seed=0
         )
         with injected_faults(plan):
-            with pytest.raises(WorkerCrashError):
+            with pytest.raises(WorkerCrashError) as err:
                 scale_sinkhorn_knopp(graph, 2, backend=shm2)
             result = scale_sinkhorn_knopp(graph, 2, backend=shm2)
+        # The dead worker's exit status is named: the injected crash
+        # ``os._exit``s with CRASH_EXIT_CODE inside the worker.
+        assert f"exited with status {CRASH_EXIT_CODE}" in str(err.value)
         assert np.array_equal(result.dr, ref.dr)
         assert np.array_equal(result.dc, ref.dc)
 

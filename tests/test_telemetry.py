@@ -16,11 +16,8 @@ import pytest
 
 from repro import telemetry
 from repro.errors import TelemetryError
-from repro.parallel.backends import (
-    ProcessBackend,
-    SerialBackend,
-    ThreadBackend,
-)
+from repro.parallel.backends import SerialBackend, ThreadBackend
+from repro.parallel.shm import SharedMemoryBackend
 from repro.telemetry import (
     Counter,
     Gauge,
@@ -284,7 +281,7 @@ def _map_with(backend, n=400):
     [
         (lambda: SerialBackend(), "serial", 1),
         (lambda: ThreadBackend(3), "threads", 3),
-        (lambda: ProcessBackend(2), "processes", 2),
+        (lambda: SharedMemoryBackend(2), "shm", 2),
     ],
 )
 def test_backend_chunk_metrics(make, label, parts):
