@@ -232,18 +232,14 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     """Run the chaos matrix and print the cell table (exit 1 on failure)."""
     from repro.resilience import run_chaos
 
-    backends = (
-        ("serial",)
-        if args.smoke
-        else ("serial", "threads:2", "shm:2")
-    )
+    smoke = {"backends": ("serial",)} if args.smoke else {}
     n = min(args.n, 200) if args.smoke else args.n
     report = run_chaos(
         n,
-        backends=backends,
         deadline=args.deadline,
         max_retries=args.max_retries,
         seed=args.seed,
+        **smoke,
     )
     print(report.render())
     return 0 if report.passed else 1

@@ -1,70 +1,102 @@
-"""Chaos harness: the backend matrix under injected fault schedules.
+"""Chaos harness: the library's contracts checked under injected faults.
 
-Each cell of the matrix runs a real workload — Sinkhorn–Knopp scaling and
-``OneSidedMatch`` — through a :class:`~repro.resilience.ResilientBackend`
-while a :class:`~repro.resilience.FaultPlan` injects crashes, hangs,
-stragglers, and corrupted payloads.  A cell passes when it either
+The matrix is one table of rows, built by :func:`run_chaos`.  A row is a
+workload on a backend label, run once per named fault schedule inside a
+wall-clock budget.  Its body does the work, installs the schedule's
+:class:`~repro.resilience.FaultPlan` where the faults belong, checks the
+row's oracle and returns a detail string.  One cell runner classifies
+every cell the same way:
 
-* returns a **bitwise-correct** result (scaling vectors identical to the
-  serial reference; matchings valid with quality above the Theorem 1
-  floor), or
-* raises a **typed** :class:`~repro.errors.BackendError` subclass,
+* ``ok`` — the body returned (its oracle held);
+* ``degraded:<E>`` — the body raised the row's typed error class ``E``;
+* ``FAILED:<why>`` — the contract broke: ``untyped:<E>`` for any other
+  exception (a failed oracle included), ``lost:<E>`` for a typed error
+  on a row that allows none, ``budget`` for a cell that otherwise passed
+  but overran its budget (``(deadline + max backoff) × attempts`` per
+  call, plus slack) — never a bare hang or a silent wrong answer.
 
-and in both cases finishes inside its wall-clock budget
-(``(deadline + max backoff) × attempts`` per call, plus slack) — never a
-bare hang, ``EOFError``, or silent wrong answer.
+The rows, in table order.  The four *backend rows* run once per backend
+spec through a :class:`~repro.resilience.ResilientBackend`, degrade only
+with a :class:`~repro.errors.BackendError`, and report ``faults=<n>``,
+the plan's total hits, in every detail:
+
+``scale`` (every schedule)
+    Sinkhorn–Knopp; the scaling vectors equal the serial no-fault run
+    bitwise.
+``match`` (``storm``)
+    ``OneSidedMatch`` on a total-support instance; the matching
+    validates and reaches Theorem 1's ``1 − 1/e`` floor minus
+    *quality_eps*.
+``exact`` (``storm``)
+    The ε-scaling auction; the matching validates and has the no-fault
+    maximum cardinality — the exact tier may fail typed, never return
+    less.
+``serve`` (``storm``)
+    :func:`~repro.serve.run_soak` of a live
+    :class:`~repro.serve.MatchingServer` on the cell's backend: 16
+    requests from 4 clients, each ending in a matching valid for its
+    rung with a guarantee no higher than the rung's floor, or a typed
+    ``ReproError``; none lost.
+
+``ResilientBackend`` draws faults by (inner label, chunk, attempt), so a
+one-chunk workload draws the same numbers on every call and a schedule
+can miss a backend row entirely; ``faults=0`` shows such an inert cell
+(``docs/resilience.md`` lists them).
+
+The remaining rows run once per sweep when the schedules include
+``storm``, and degrade with any :class:`~repro.errors.ReproError`:
+
+``recovery`` (backend ``journal``, :func:`recovery_schedules`)
+    A write-ahead-journaled stream daemon dies at one record boundary
+    and restarts through :func:`~repro.serve.recover_registry`.  The
+    recovered state holds every acknowledged mutation bitwise, or
+    recovery refuses with a :class:`~repro.errors.RecoveryError` naming
+    the byte offset.
+``net`` (backend ``socket``, :func:`net_schedules`)
+    A stream session through a real
+    :class:`~repro.serve.net.SocketServer` and
+    :class:`~repro.serve.net.ResilientClient` while the wire drops,
+    delays, partitions, truncates or garbles frames.  Every request ends
+    in retry-success or a typed transport error, and the acked epochs
+    prove no retry applied a mutation twice.
+``failover`` (backend ``router``, ``none`` / ``sigkill``)
+    A 3-daemon :class:`~repro.serve.router.Router` runs a stream script;
+    ``sigkill`` kills the session's daemon halfway.  Every request must
+    succeed across the journal-recovery revival, and the acked
+    transcript must equal an uninterrupted in-process replica's bitwise.
+    Zero acked loss is this row's contract, so a typed error is
+    ``FAILED:lost:``.
+``shard`` (backend ``router``, ``none`` / ``sigkill``)
+    Daemon-tier sharded matching (:mod:`repro.shard.daemon_tier`) with a
+    shard daemon SIGKILLed mid-reconcile.  The merged matching equals
+    the sim-tier run bitwise, or the failure is typed — never a silently
+    different matching.
 
 Entry points: :func:`run_chaos` (used by the ``chaos``-marked tests),
 ``python -m repro chaos`` and ``make chaos`` (human-facing reports).
-
-The matrix also carries a ``recovery`` row (backend ``journal``): a
-durable stream session is crashed at exact write-ahead-journal record
-boundaries — before the fsync, mid-record, after the last ack, mid
-checkpoint rotation — then restarted through
-:func:`~repro.serve.recover_registry`.  A cell passes when the recovered
-state is bitwise-equal to everything the client was acknowledged, or the
-restart refuses with a typed :class:`~repro.errors.RecoveryError`; a
-lost acknowledged epoch fails the matrix.
-
-Two network rows ride full sweeps as well:
-
-* ``net`` (backend ``socket``): a stream session driven through a real
-  :class:`~repro.serve.net.SocketServer` +
-  :class:`~repro.serve.net.ResilientClient` pair while
-  :func:`net_schedules` breaks the wire at the framing layer — drops,
-  delays, partitions, truncated frames, garbled payloads.  Every
-  request must end in a retry-success or a typed
-  :class:`~repro.errors.TransportError` /
-  :class:`~repro.errors.PartitionedError`, the acked epoch sequence
-  must prove no mutation was ever applied twice (a retried request id
-  is answered from the ack cache, not re-executed), and no silent
-  corruption may pass the frame checksums.
-* ``failover`` (backend ``router``): a 3-daemon
-  :class:`~repro.serve.router.Router` soak whose session-owning daemon
-  is SIGKILLed mid-sequence.  This row's contract is *stronger* than
-  the usual "correct or typed": the router must revive the daemon
-  through journal recovery (bitwise recertification included) and
-  every scripted request must succeed, with the full acked transcript
-  bitwise-equal to an uninterrupted in-process replica — a lost acked
-  request or diverging acknowledgment fails the matrix.
-* ``shard`` (backend ``router``): a daemon-tier sharded matching
-  (:mod:`repro.shard.daemon_tier`) with one shard daemon SIGKILLed in
-  the middle of the reconcile rounds.  The merged matching must be
-  bitwise-equal to the uninterrupted sim-tier run, or the failure must
-  be a typed error — never a silently sub-quality matching.
 """
 
 from __future__ import annotations
 
-import threading
+import io
+import itertools
+import json
+import os
+import tempfile
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from repro.constants import ONE_SIDED_GUARANTEE
-from repro.errors import BackendError
+from repro.errors import (
+    BackendError,
+    RecoveryError,
+    ReproError,
+    TransportError,
+)
 from repro.resilience.faults import FaultPlan, FaultSpec, injected_faults
 from repro.resilience.resilient import ResilientBackend
 
@@ -265,365 +297,59 @@ def net_schedules(*, seed: int = 0) -> dict[str, FaultPlan]:
     }
 
 
-def _net_cell(
-    schedule: str,
-    plan: FaultPlan,
-    *,
-    n: int,
-    seed: int,
-    budget: float,
-) -> ChaosOutcome:
-    """Run one ``net`` cell: a socket round-trip soak under wire faults.
+@dataclass(frozen=True)
+class _Row:
+    """One table entry: a workload on a backend label under schedules."""
 
-    The duplicate-mutation audit rides the epoch sequence: every acked
-    ``update`` must advance the epoch by exactly one step beyond the
-    last ack (plus one per *ambiguous* failure in between — a request
-    that exhausted retries may or may not have been applied).  A step
-    larger than that window means a retry re-applied a mutation the
-    server had already acked — the bug idempotent request ids exist to
-    prevent.
-    """
-    import os
-    import shutil
-    import tempfile
+    workload: str
+    backend: str
+    schedules: Mapping[str, FaultPlan]
+    budget: float
+    #: The error class that counts as ``degraded:``; with ``None`` a
+    #: typed error is ``FAILED:lost:``.
+    degraded: type[ReproError] | None
+    #: ``body(schedule, plan)`` → the detail string of a passing cell.
+    body: Callable[[str, FaultPlan], str]
+    #: Prefix the detail with the plan's total hits (the backend rows).
+    faults: bool = False
 
-    from repro.errors import PartitionedError, ReproError, TransportError
-    from repro.resilience.backoff import BackoffPolicy
-    from repro.serve.daemon import Dispatcher, GraphCache, _StreamRegistry
-    from repro.serve.net import ResilientClient, SocketServer
-    from repro.serve.server import MatchingServer
 
-    graph_spec = {"kind": "union", "n": n, "k": 3, "seed": seed}
-    tmpdir = tempfile.mkdtemp(prefix="repro-chaos-net-")
+def _cell(row: _Row, schedule: str, plan: FaultPlan) -> ChaosOutcome:
+    """Run *row*'s body under *schedule* and classify the outcome."""
+    plan.reset()
     t0 = time.perf_counter()
-    detail = ""
     try:
-        with MatchingServer("serial") as server:
-            streams = _StreamRegistry(4, "serial")
-            dispatcher = Dispatcher(server, GraphCache(8), streams)
-            address = f"unix:{os.path.join(tmpdir, 'net.sock')}"
-            with injected_faults(plan.reset()):
-                with SocketServer(
-                    dispatcher, address, deadline=10.0
-                ) as front:
-                    client = ResilientClient(
-                        front.address,
-                        retries=8,
-                        seed=seed,
-                        backoff=BackoffPolicy(
-                            initial=0.02, maximum=0.3, jitter=0.5
-                        ),
-                        connect_timeout=0.5,
-                        deadline=10.0,
-                    )
-                    opened = client.request(
-                        {"op": "stream_open", "graph": graph_spec,
-                         "seed": seed}
-                    )
-                    handle = opened["handle"]
-                    acked = typed = ambiguous = 0
-                    last_epoch = opened["epoch"]
-                    for k in range(10):
-                        try:
-                            response = client.request(
-                                {"op": "update", "handle": handle,
-                                 "add": {"rows": [k % n],
-                                         "cols": [(3 * k + 1) % n]}}
-                            )
-                        except (TransportError, PartitionedError):
-                            typed += 1
-                            ambiguous += 1
-                            continue
-                        step = response["epoch"] - last_epoch
-                        if not 1 <= step <= 1 + ambiguous:
-                            raise AssertionError(
-                                f"epoch stepped {last_epoch} →"
-                                f" {response['epoch']} with {ambiguous}"
-                                f" ambiguous failures pending — a retry"
-                                f" double-applied or an ack was lost"
-                            )
-                        last_epoch = response["epoch"]
-                        ambiguous = 0
-                        acked += 1
-                    try:
-                        rem = client.request(
-                            {"op": "rematch", "handle": handle}
-                        )
-                        if not (
-                            last_epoch
-                            <= rem["epoch"]
-                            <= last_epoch + ambiguous
-                        ):
-                            raise AssertionError(
-                                f"rematch epoch {rem['epoch']} outside"
-                                f" acked window [{last_epoch},"
-                                f" {last_epoch + ambiguous}]"
-                            )
-                    except (TransportError, PartitionedError):
-                        typed += 1
-        status = "ok"
-        detail = f"acked={acked} typed={typed}"
-    except ReproError as exc:
-        status = f"degraded:{type(exc).__name__}"
+        status, detail = "ok", row.body(schedule, plan)
+    except Exception as exc:  # noqa: BLE001 - every exception is classified
+        name = type(exc).__name__
+        if row.degraded is not None and isinstance(exc, row.degraded):
+            status = f"degraded:{name}"
+        elif row.degraded is None and isinstance(exc, ReproError):
+            status = f"FAILED:lost:{name}"
+        else:
+            status = f"FAILED:untyped:{name}"
         detail = str(exc)[:60]
-    except Exception as exc:  # noqa: BLE001 - untyped = contract violation
-        status = f"FAILED:untyped:{type(exc).__name__}"
-        detail = str(exc)[:60]
-    finally:
-        shutil.rmtree(tmpdir, ignore_errors=True)
     elapsed = time.perf_counter() - t0
-    if elapsed > budget and not status.startswith("FAILED"):
+    if elapsed > row.budget and not status.startswith("FAILED"):
         status = "FAILED:budget"
+    if row.faults:
+        hits = sum(spec.hits for spec in plan.specs)
+        detail = f"faults={hits}" + (f" {detail}" if detail else "")
     return ChaosOutcome(
-        workload="net",
-        backend="socket",
-        schedule=schedule,
-        status=status,
-        elapsed=elapsed,
-        budget=budget,
-        detail=detail,
+        row.workload, row.backend, schedule, status, elapsed, row.budget,
+        detail,
     )
 
 
-def _failover_cell(
-    schedule: str,
-    *,
-    n: int,
-    seed: int,
-    budget: float,
-) -> ChaosOutcome:
-    """Run one ``failover`` cell: router soak vs an uninterrupted replica.
+def _recovery(schedule: str, plan: FaultPlan, *, n: int, seed: int) -> str:
+    """``recovery`` body: crash a journaled daemon, recover, audit.
 
-    A scripted update/rematch sequence runs through a 3-daemon
-    :class:`~repro.serve.router.Router`; the ``sigkill`` schedule kills
-    the session-owning daemon halfway.  Unlike the other rows, a typed
-    error here is a *failure*: the zero-acked-loss contract says the
-    router must carry every request through revival.  The transcript of
-    acked payloads must be bitwise-equal to the same sequence applied
-    to an in-process registry that never failed.
+    The audit is against what the *client* saw; replay itself re-checks
+    each record's stored acknowledgment, and recertification re-proves
+    each session's §3.3 certificate.
     """
-    import shutil
-    import tempfile
-
-    from repro.errors import ReproError
-    from repro.serve.daemon import GraphCache, _StreamRegistry
-    from repro.serve.router import Router
-
-    graph_spec = {"kind": "union", "n": n, "k": 3, "seed": seed}
-    script: list[dict] = []
-    for k in range(6):
-        script.append(
-            {"op": "update",
-             "add": {"rows": [k % n, (k + 1) % n],
-                     "cols": [(3 * k + 1) % n, (5 * k + 2) % n]}}
-        )
-        script.append({"op": "rematch"})
-    strip = ("id", "rid", "ok", "handle")
-    tmpdir = tempfile.mkdtemp(prefix="repro-chaos-failover-")
-    t0 = time.perf_counter()
-    detail = ""
-    try:
-        acked: list[dict] = []
-        with Router(
-            3, tmpdir, backend="serial", health_interval=0.0
-        ) as router:
-            opened = router.request(
-                {"op": "stream_open", "graph": graph_spec,
-                 "target_quality": 0.55, "seed": seed}
-            )
-            handle = opened["handle"]
-            kill_at = len(script) // 2 if schedule == "sigkill" else -1
-            for i, op in enumerate(script):
-                if i == kill_at:
-                    victim = router._node_by_name(handle.split(":", 1)[0])
-                    victim.proc.kill()
-                response = router.request({**op, "handle": handle})
-                acked.append(
-                    {k: v for k, v in response.items() if k not in strip}
-                )
-            restarts = sum(node.restarts for node in router.nodes)
-        # The uninterrupted replica: same sequence, no network, no
-        # failure.  Bitwise equality of the two transcripts is the
-        # zero-acked-loss proof.
-        registry = _StreamRegistry(4, "serial")
-        cache = GraphCache(4)
-        replica_open = registry.open(
-            {"graph": graph_spec, "target_quality": 0.55, "seed": seed},
-            cache,
-        )
-        replica: list[dict] = []
-        for op in script:
-            msg = {**op, "handle": replica_open["handle"]}
-            if op["op"] == "update":
-                replica.append(dict(registry.update(msg)))
-            else:
-                replica.append(dict(registry.rematch(msg)))
-        if len(acked) != len(replica):
-            raise AssertionError(
-                f"router acked {len(acked)} of {len(replica)} requests"
-            )
-        for i, (got, want) in enumerate(zip(acked, replica)):
-            if got != want:
-                raise AssertionError(
-                    f"acked transcript diverges from uninterrupted"
-                    f" replica at step {i}: {got} != {want}"
-                )
-        if schedule == "sigkill" and restarts < 1:
-            raise AssertionError(
-                "SIGKILL did not trigger a journal-recovery revival"
-            )
-        status = "ok"
-        detail = f"acks={len(acked)} restarts={restarts}"
-    except ReproError as exc:
-        # Zero-acked-loss is this row's contract: typed shedding is NOT
-        # a legal outcome here.
-        status = f"FAILED:lost:{type(exc).__name__}"
-        detail = str(exc)[:60]
-    except Exception as exc:  # noqa: BLE001 - untyped = contract violation
-        status = f"FAILED:untyped:{type(exc).__name__}"
-        detail = str(exc)[:60]
-    finally:
-        shutil.rmtree(tmpdir, ignore_errors=True)
-    elapsed = time.perf_counter() - t0
-    if elapsed > budget and not status.startswith("FAILED"):
-        status = "FAILED:budget"
-    return ChaosOutcome(
-        workload="failover",
-        backend="router",
-        schedule=schedule,
-        status=status,
-        elapsed=elapsed,
-        budget=budget,
-        detail=detail,
-    )
-
-
-def _shard_cell(
-    schedule: str,
-    *,
-    n: int,
-    seed: int,
-    budget: float,
-) -> ChaosOutcome:
-    """Run one ``shard`` cell: daemon-tier sharded matching under SIGKILL.
-
-    A 3-shard matching runs over a 2-daemon router; the ``sigkill``
-    schedule SIGKILLs the daemon owning a shard handle in the middle of
-    the reconcile rounds.  The contract: the merged matching must be
-    **bitwise-equal** to the uninterrupted in-process (sim-tier) run —
-    the revived daemon replays its write-ahead journal back to the exact
-    replicated state — or the failure must surface as a typed
-    :class:`~repro.errors.ReproError`.  A silently different (and
-    therefore possibly sub-quality) matching fails the matrix.
-    """
-    import shutil
-    import tempfile
-
-    from repro.errors import ReproError
-    from repro.serve.daemon import build_graph
-    from repro.serve.router import Router
-    from repro.shard import shard_match
-    from repro.shard.daemon_tier import shard_match_daemons
-
-    graph_spec = {"kind": "sprand", "n": n, "degree": 4.0, "seed": seed}
-    graph = build_graph(graph_spec, None)
-    reference = shard_match(graph, 3, iterations=3, seed=seed)
-    tmpdir = tempfile.mkdtemp(prefix="repro-chaos-shard-")
-    t0 = time.perf_counter()
-    detail = ""
-    try:
-        with Router(
-            2, tmpdir, backend="serial", health_interval=0.0
-        ) as router:
-            if schedule == "sigkill":
-                original = router.request
-                state = {"commits": 0, "killed": False}
-
-                def chaotic(msg: Mapping, **kw) -> dict:
-                    if msg.get("op") == "shard_commit":
-                        state["commits"] += 1
-                        if state["commits"] == 2 and not state["killed"]:
-                            name = str(msg.get("handle", "")).partition(
-                                ":"
-                            )[0]
-                            victim = router._node_by_name(name)
-                            victim.proc.kill()
-                            victim.proc.wait()
-                            state["killed"] = True
-                    return original(msg, **kw)
-
-                router.request = chaotic
-            result = shard_match_daemons(
-                graph_spec, 3, iterations=3,
-                router=router, seed=seed, graph=graph,
-            )
-            restarts = sum(node.restarts for node in router.nodes)
-        if not np.array_equal(
-            result.matching.row_match, reference.matching.row_match
-        ):
-            raise AssertionError(
-                "recovered merged matching diverges bitwise from the"
-                " uninterrupted sim-tier run"
-            )
-        if result.guarantee != reference.guarantee:
-            raise AssertionError(
-                f"guarantee drifted across recovery:"
-                f" {result.guarantee} != {reference.guarantee}"
-            )
-        if schedule == "sigkill" and restarts < 1:
-            raise AssertionError(
-                "SIGKILL did not trigger a journal-recovery revival"
-            )
-        status = "ok"
-        detail = (
-            f"cardinality={result.cardinality} restarts={restarts}"
-        )
-    except ReproError as exc:
-        # Typed surfacing is legal; a silent wrong matching is not.
-        status = f"degraded:{type(exc).__name__}"
-        detail = str(exc)[:60]
-    except Exception as exc:  # noqa: BLE001 - untyped = contract violation
-        status = f"FAILED:untyped:{type(exc).__name__}"
-        detail = str(exc)[:60]
-    finally:
-        shutil.rmtree(tmpdir, ignore_errors=True)
-    elapsed = time.perf_counter() - t0
-    if elapsed > budget and not status.startswith("FAILED"):
-        status = "FAILED:budget"
-    return ChaosOutcome(
-        workload="shard",
-        backend="router",
-        schedule=schedule,
-        status=status,
-        elapsed=elapsed,
-        budget=budget,
-        detail=detail,
-    )
-
-
-def _recovery_cell(
-    schedule: str,
-    plan: FaultPlan,
-    *,
-    n: int,
-    seed: int,
-    budget: float,
-) -> ChaosOutcome:
-    """Run one ``recovery`` cell: crash a journaled daemon, restart, audit.
-
-    The audit is against what the *client* saw: every response the
-    daemon acknowledged before dying must be present, bitwise, in the
-    recovered registry (replay itself re-verifies each record's stored
-    acknowledgment, and recertification re-proves each session's §3.3
-    certificate — this cell additionally checks the client's view).
-    """
-    import io
-    import json
-    import shutil
-    import tempfile
-
-    from repro.errors import RecoveryError, ReproError
     from repro.serve.daemon import JOURNAL_POISONED_EXIT, serve_forever
+    from repro.serve.journal import latest_generation
     from repro.serve.recovery import recover_registry
 
     graph_spec = {"kind": "union", "n": n, "k": 3, "seed": seed}
@@ -638,41 +364,28 @@ def _recovery_cell(
          "remove": {"rows": [0], "cols": [1]}, "strict": False},
         {"id": 6, "op": "rematch", "handle": "s1"},
     ]
-    # Small enough that the final journal still holds several records
-    # (so mid-file corruption in ``divergence`` is unambiguous), large
-    # enough that every other schedule crosses a rotation.
-    checkpoint_every = 100 if schedule == "divergence" else 3
-    tmpdir = tempfile.mkdtemp(prefix="repro-chaos-recovery-")
-    t0 = time.perf_counter()
-    detail = ""
-    try:
-        out = io.StringIO()
-        source = io.StringIO(
-            "".join(json.dumps(r) + "\n" for r in requests)
-        )
-        with injected_faults(plan.reset()):
+    out = io.StringIO()
+    with tempfile.TemporaryDirectory(
+        prefix="repro-chaos-recovery-", ignore_cleanup_errors=True
+    ) as tmpdir:
+        lines = "".join(json.dumps(r) + "\n" for r in requests)
+        with injected_faults(plan):
             code = serve_forever(
-                stdin=source,
+                stdin=io.StringIO(lines),
                 stdout=out,
                 journal_dir=tmpdir,
-                checkpoint_every=checkpoint_every,
+                # Small enough that the final journal still holds several
+                # records (so mid-file corruption in ``divergence`` is
+                # unambiguous), large enough that every other schedule
+                # crosses a rotation.
+                checkpoint_every=100 if schedule == "divergence" else 3,
             )
-        acked = [
-            msg
-            for msg in map(json.loads, out.getvalue().splitlines())
-            if msg.get("ok")
-        ]
-        faulted = any(spec.hits for spec in plan.specs)
-        if faulted and code != JOURNAL_POISONED_EXIT:
-            raise AssertionError(
-                f"faulted daemon exited {code}, expected poisoned exit"
-                f" {JOURNAL_POISONED_EXIT}"
-            )
-        if not faulted and code != 0:
-            raise AssertionError(f"fault-free daemon exited {code}")
+        expected = (
+            JOURNAL_POISONED_EXIT if any(s.hits for s in plan.specs) else 0
+        )
+        if code != expected:
+            raise AssertionError(f"daemon exited {code}, expected {expected}")
         if schedule == "divergence":
-            from repro.serve.journal import latest_generation
-
             _, _, wal = latest_generation(tmpdir)
             with open(wal, "r+b") as fh:
                 buf = bytearray(fh.read())
@@ -686,111 +399,247 @@ def _recovery_cell(
                     raise AssertionError(
                         "RecoveryError did not name a byte offset"
                     ) from exc
-                status = f"degraded:{type(exc).__name__}"
-                detail = f"offset={exc.offset}"
+                raise RecoveryError(
+                    f"offset={exc.offset}", offset=exc.offset
+                ) from exc
+            raise AssertionError(
+                "in-place corruption recovered silently — acknowledged"
+                " records were dropped"
+            )
+        registry, report = recover_registry(tmpdir, attach_journal=False)
+    acked = [
+        msg
+        for msg in map(json.loads, out.getvalue().splitlines())
+        if msg.get("ok")
+    ]
+    if "s1" not in registry._sessions:
+        raise AssertionError("recovered registry lost session 's1'")
+    graph, _ = registry._sessions["s1"]
+    epochs = [a["epoch"] for a in acked if "epoch" in a]
+    if epochs and graph.epoch < max(epochs):
+        raise AssertionError(
+            f"recovered epoch {graph.epoch} behind acknowledged epoch"
+            f" {max(epochs)}"
+        )
+    rematches = [a for a in acked if "mode" in a]
+    if rematches:
+        last = {
+            k: v for k, v in rematches[-1].items() if k not in ("id", "ok")
+        }
+        recovered = registry._last_ack.get("s1")
+        if recovered is None or recovered["epoch"] < last["epoch"]:
+            raise AssertionError(
+                "recovered state lost the last acknowledged rematch"
+            )
+        # Recovery may legally be *ahead* of the client (a record durable
+        # but never acknowledged); at the same epoch the acknowledgment
+        # must match bitwise.
+        if recovered["epoch"] == last["epoch"] and dict(recovered) != last:
+            raise AssertionError(
+                f"recovered acknowledgment diverges from the one the client"
+                f" saw: {recovered} != {last}"
+            )
+    return (
+        f"replayed={report.replayed_records}"
+        f" truncated={report.truncated_bytes}B"
+    )
+
+
+def _net(schedule: str, plan: FaultPlan, *, n: int, seed: int) -> str:
+    """``net`` body: a socket round-trip soak under wire faults.
+
+    Every acked ``update`` must advance the epoch by one step plus at
+    most one per *ambiguous* failure since the last ack (a request that
+    exhausted its retries may or may not have been applied).  A larger
+    step means a retry re-applied an acked mutation — what idempotent
+    request ids exist to prevent.
+    """
+    from repro.resilience.backoff import BackoffPolicy
+    from repro.serve.daemon import Dispatcher, GraphCache, _StreamRegistry
+    from repro.serve.net import ResilientClient, SocketServer
+    from repro.serve.server import MatchingServer
+
+    acked = typed = ambiguous = 0
+    with tempfile.TemporaryDirectory(
+        prefix="repro-chaos-net-", ignore_cleanup_errors=True
+    ) as tmpdir, MatchingServer("serial") as server:
+        dispatcher = Dispatcher(
+            server, GraphCache(8), _StreamRegistry(4, "serial")
+        )
+        address = f"unix:{os.path.join(tmpdir, 'net.sock')}"
+        with injected_faults(plan), SocketServer(
+            dispatcher, address, deadline=10.0
+        ) as front:
+            client = ResilientClient(
+                front.address,
+                retries=8,
+                seed=seed,
+                backoff=BackoffPolicy(initial=0.02, maximum=0.3, jitter=0.5),
+                connect_timeout=0.5,
+                deadline=10.0,
+            )
+            opened = client.request(
+                {"op": "stream_open", "seed": seed,
+                 "graph": {"kind": "union", "n": n, "k": 3, "seed": seed}}
+            )
+            handle, last_epoch = opened["handle"], opened["epoch"]
+            for k in range(10):
+                try:
+                    response = client.request(
+                        {"op": "update", "handle": handle,
+                         "add": {"rows": [k % n], "cols": [(3 * k + 1) % n]}}
+                    )
+                except TransportError:  # PartitionedError included
+                    typed += 1
+                    ambiguous += 1
+                    continue
+                if not 1 <= response["epoch"] - last_epoch <= 1 + ambiguous:
+                    raise AssertionError(
+                        f"epoch stepped {last_epoch} → {response['epoch']}"
+                        f" with {ambiguous} ambiguous failures pending"
+                    )
+                last_epoch, ambiguous = response["epoch"], 0
+                acked += 1
+            try:
+                rematch = client.request({"op": "rematch", "handle": handle})
+            except TransportError:
+                typed += 1
             else:
-                raise AssertionError(
-                    "in-place corruption recovered silently — acknowledged"
-                    " records were dropped"
-                )
-        else:
-            registry, report = recover_registry(
-                tmpdir, attach_journal=False
-            )
-            if "s1" not in registry._sessions:
-                raise AssertionError("recovered registry lost session 's1'")
-            graph, _matcher = registry._sessions["s1"]
-            epochs = [a["epoch"] for a in acked if "epoch" in a]
-            if epochs and graph.epoch < max(epochs):
-                raise AssertionError(
-                    f"recovered epoch {graph.epoch} behind acknowledged"
-                    f" epoch {max(epochs)}"
-                )
-            rematches = [a for a in acked if "mode" in a]
-            if rematches:
-                last = {
-                    key: value
-                    for key, value in rematches[-1].items()
-                    if key not in ("id", "ok")
-                }
-                recovered = registry._last_ack.get("s1")
-                if recovered is None or recovered["epoch"] < last["epoch"]:
+                window = (last_epoch, last_epoch + ambiguous)
+                if not window[0] <= rematch["epoch"] <= window[1]:
                     raise AssertionError(
-                        "recovered state lost the last acknowledged rematch"
+                        f"rematch epoch {rematch['epoch']} outside acked"
+                        f" window {list(window)}"
                     )
-                # Recovery may legally be *ahead* of the client (a record
-                # durable but never acknowledged); at the same epoch the
-                # acknowledgment must match bitwise.
-                if recovered["epoch"] == last["epoch"] and dict(
-                    recovered
-                ) != last:
-                    raise AssertionError(
-                        f"recovered acknowledgment diverges from the one"
-                        f" the client saw: {recovered} != {last}"
-                    )
-            status = "ok"
-            detail = (
-                f"replayed={report.replayed_records}"
-                f" truncated={report.truncated_bytes}B"
-            )
-    except ReproError as exc:
-        status = f"degraded:{type(exc).__name__}"
-        detail = str(exc)[:60]
-    except Exception as exc:  # noqa: BLE001 - untyped = contract violation
-        status = f"FAILED:untyped:{type(exc).__name__}"
-        detail = str(exc)[:60]
-    finally:
-        shutil.rmtree(tmpdir, ignore_errors=True)
-    elapsed = time.perf_counter() - t0
-    if elapsed > budget and not status.startswith("FAILED"):
-        status = "FAILED:budget"
-    return ChaosOutcome(
-        workload="recovery",
-        backend="journal",
-        schedule=schedule,
-        status=status,
-        elapsed=elapsed,
-        budget=budget,
-        detail=detail,
-    )
+    return f"acked={acked} typed={typed}"
 
 
-def _run_cell(
-    workload: str,
-    backend_spec: str,
-    schedule: str,
-    plan: FaultPlan,
-    fn: Callable[[ResilientBackend], str],
-    make_backend: Callable[[], ResilientBackend],
-    budget: float,
-) -> ChaosOutcome:
-    """Execute one cell and classify its outcome."""
-    backend = make_backend()
-    t0 = time.perf_counter()
-    try:
-        with injected_faults(plan.reset()):
-            detail = fn(backend)
-        status = "ok"
-    except BackendError as exc:
-        status = f"degraded:{type(exc).__name__}"
-        detail = str(exc)[:60]
-    except Exception as exc:  # noqa: BLE001 - untyped = contract violation
-        status = f"FAILED:untyped:{type(exc).__name__}"
-        detail = str(exc)[:60]
-    finally:
-        backend.close()
-    elapsed = time.perf_counter() - t0
-    if elapsed > budget and not status.startswith("FAILED"):
-        status = "FAILED:budget"
-    return ChaosOutcome(
-        workload=workload,
-        backend=backend_spec,
-        schedule=schedule,
-        status=status,
-        elapsed=elapsed,
-        budget=budget,
-        detail=detail if status != "ok" else "",
-    )
+def _failover(schedule: str, plan: FaultPlan, *, n: int, seed: int) -> str:
+    """``failover`` body: a router soak against an uninterrupted replica."""
+    from repro.serve.daemon import GraphCache, _StreamRegistry
+    from repro.serve.router import Router
+
+    opening = {
+        "graph": {"kind": "union", "n": n, "k": 3, "seed": seed},
+        "target_quality": 0.55,
+        "seed": seed,
+    }
+    script: list[dict] = []
+    for k in range(6):
+        script += [
+            {"op": "update",
+             "add": {"rows": [k % n, (k + 1) % n],
+                     "cols": [(3 * k + 1) % n, (5 * k + 2) % n]}},
+            {"op": "rematch"},
+        ]
+    acked: list[dict] = []
+    with tempfile.TemporaryDirectory(
+        prefix="repro-chaos-failover-", ignore_cleanup_errors=True
+    ) as tmpdir, Router(
+        3, tmpdir, backend="serial", health_interval=0.0
+    ) as router:
+        handle = router.request({"op": "stream_open", **opening})["handle"]
+        for i, op in enumerate(script):
+            if schedule == "sigkill" and i == len(script) // 2:
+                router._node_by_name(handle.split(":", 1)[0]).proc.kill()
+            response = router.request({**op, "handle": handle})
+            acked.append({
+                k: v for k, v in response.items()
+                if k not in ("id", "rid", "ok", "handle")
+            })
+        restarts = sum(node.restarts for node in router.nodes)
+    # The same script on an in-process registry that never fails:
+    # bitwise-equal transcripts are the zero-acked-loss proof.
+    registry = _StreamRegistry(4, "serial")
+    replica_handle = registry.open(opening, GraphCache(4))["handle"]
+    for step, op in enumerate(script):
+        apply = registry.update if op["op"] == "update" else registry.rematch
+        want = dict(apply({**op, "handle": replica_handle}))
+        if acked[step] != want:
+            raise AssertionError(
+                f"acked transcript diverges from uninterrupted replica at"
+                f" step {step}: {acked[step]} != {want}"
+            )
+    if schedule == "sigkill" and restarts < 1:
+        raise AssertionError(
+            "SIGKILL did not trigger a journal-recovery revival"
+        )
+    return f"acks={len(acked)} restarts={restarts}"
+
+
+def _shard(schedule: str, plan: FaultPlan, *, n: int, seed: int) -> str:
+    """``shard`` body: daemon-tier sharded matching under SIGKILL.
+
+    A 3-shard matching runs over a 2-daemon router; ``sigkill`` kills
+    the daemon owning the second committed shard handle, and the revived
+    daemon replays its journal back to the replicated state.
+    """
+    from repro.serve.daemon import build_graph
+    from repro.serve.router import Router
+    from repro.shard import shard_match
+    from repro.shard.daemon_tier import shard_match_daemons
+
+    graph_spec = {"kind": "sprand", "n": n, "degree": 4.0, "seed": seed}
+    graph = build_graph(graph_spec, None)
+    reference = shard_match(graph, 3, iterations=3, seed=seed)
+    with tempfile.TemporaryDirectory(
+        prefix="repro-chaos-shard-", ignore_cleanup_errors=True
+    ) as tmpdir, Router(
+        2, tmpdir, backend="serial", health_interval=0.0
+    ) as router:
+        if schedule == "sigkill":
+            request, commits = router.request, itertools.count(1)
+
+            def chaotic(msg: Mapping, **kw) -> dict:
+                if msg.get("op") == "shard_commit" and next(commits) == 2:
+                    name = str(msg.get("handle", "")).partition(":")[0]
+                    victim = router._node_by_name(name)
+                    victim.proc.kill()
+                    victim.proc.wait()
+                return request(msg, **kw)
+
+            router.request = chaotic
+        result = shard_match_daemons(
+            graph_spec, 3, iterations=3, router=router, seed=seed,
+            graph=graph,
+        )
+        restarts = sum(node.restarts for node in router.nodes)
+    if not np.array_equal(
+        result.matching.row_match, reference.matching.row_match
+    ):
+        raise AssertionError(
+            "recovered merged matching diverges bitwise from the"
+            " uninterrupted sim-tier run"
+        )
+    if result.guarantee != reference.guarantee:
+        raise AssertionError(
+            f"guarantee drifted across recovery:"
+            f" {result.guarantee} != {reference.guarantee}"
+        )
+    if schedule == "sigkill" and restarts < 1:
+        raise AssertionError(
+            "SIGKILL did not trigger a journal-recovery revival"
+        )
+    return f"cardinality={result.cardinality} restarts={restarts}"
+
+
+def _sweep_rows(n: int, seed: int, budget: float) -> list[_Row]:
+    """The rows that run once per sweep rather than once per backend."""
+    small = min(n, 150)
+    kills = {name: FaultPlan([], seed=seed) for name in ("none", "sigkill")}
+    # Subprocess daemons: budgeted generously; the bodies' own checks
+    # are wall-clock-free.
+    daemons = max(2 * budget, 120.0)
+    return [
+        _Row("recovery", "journal", recovery_schedules(seed=seed),
+             2 * budget, ReproError, partial(_recovery, n=small, seed=seed)),
+        _Row("net", "socket", net_schedules(seed=seed), 2 * budget,
+             ReproError, partial(_net, n=small, seed=seed)),
+        _Row("failover", "router", kills, daemons, None,
+             partial(_failover, n=min(n, 120), seed=seed)),
+        _Row("shard", "router", kills, daemons, ReproError,
+             partial(_shard, n=min(n, 120), seed=seed)),
+    ]
 
 
 def run_chaos(
@@ -804,65 +653,31 @@ def run_chaos(
     quality_eps: float = 0.02,
     seed: int = 0,
 ) -> ChaosReport:
-    """Run the full chaos matrix and return a :class:`ChaosReport`.
+    """Run the chaos matrix and return a :class:`ChaosReport`.
 
-    Two workloads per (backend, schedule) pair:
-
-    * ``scale``: Sinkhorn–Knopp on a random sparse square; on success the
-      scaling vectors must be bitwise-equal to the serial no-fault
-      reference.
-    * ``match`` (``storm`` schedule only — the most hostile): a full
-      ``OneSidedMatch``; a returned matching must validate against the
-      graph and, on the total-support instance used, reach the Theorem 1
-      floor minus *quality_eps*.
-    * ``exact`` (``storm`` only): the ε-scaling auction over the cell's
-      resilient backend; a returned matching must validate and hit the
-      no-fault maximum cardinality exactly — under faults the exact tier
-      may fail typed, but it may never return a sub-maximum matching.
-
-    With the ``storm`` schedule a further workload runs per backend:
-
-    * ``serve``: a short soak through a live
-      :class:`~repro.serve.MatchingServer` over the cell's resilient
-      backend — concurrent clients, every request must end in a matching
-      that validates and states a guarantee no higher than its rung's
-      floor, **or** a typed ``ReproError`` (shedding and breaker
-      rejections included); a lost request or untyped failure violates
-      the contract.
-
-    And once per sweep (not per backend) the durability and network
-    rows run:
-
-    * ``recovery`` (backend ``journal``): a journaled stream daemon is
-      crashed at each :func:`recovery_schedules` record boundary and
-      restarted through :func:`~repro.serve.recover_registry`; the
-      recovered state must contain every acknowledged mutation bitwise,
-      or recovery must refuse with a typed
-      :class:`~repro.errors.RecoveryError` — never a lost acknowledged
-      epoch.
-    * ``net`` (backend ``socket``): a socket round-trip soak under each
-      :func:`net_schedules` wire fault; every request ends in
-      retry-success or a typed transport error, and the acked epoch
-      sequence proves no mutation was applied twice.
-    * ``failover`` (backend ``router``): a 3-daemon router soak with a
-      mid-sequence SIGKILL; every request must succeed across the
-      journal-recovery revival and the acked transcript must be
-      bitwise-equal to an uninterrupted replica — typed shedding is a
-      *failure* for this row.
+    The rows and their contracts are listed in the module docstring.
+    *schedules* defaults to :func:`standard_schedules` with hangs of
+    twice the per-attempt *deadline*; *max_retries* is the backend rows'
+    retry budget per chunk.  The ``match``, ``exact`` and ``serve`` rows
+    and the once-per-sweep rows run only when *schedules* has a
+    ``storm`` entry.
     """
     from repro.core.onesided import one_sided_match
     from repro.graph.generators import sprand, union_of_permutations
+    from repro.matching.exact.auction import auction_match
+    from repro.matching.exact.hopcroft_karp import hopcroft_karp
     from repro.scaling.sinkhorn_knopp import scale_sinkhorn_knopp
+    from repro.serve.server import ServerConfig
+    from repro.serve.soak import run_soak
 
     if schedules is None:
         schedules = standard_schedules(
             hang_seconds=2.0 * deadline, seed=seed
         )
+    storm = {"storm": schedules["storm"]} if "storm" in schedules else {}
     graph = sprand(n, 4.0, seed=seed)
     support_graph = union_of_permutations(n, 4, seed=seed)
     reference = scale_sinkhorn_knopp(graph, sk_iterations)
-    from repro.matching.exact.hopcroft_karp import hopcroft_karp
-
     exact_reference = hopcroft_karp(support_graph).cardinality
 
     # A call's worst legal wall time: every attempt burns the deadline
@@ -872,10 +687,17 @@ def run_chaos(
     sk_calls = 2 * sk_iterations + sk_iterations + 2
     budget = per_call * sk_calls + 5.0
 
-    def scale_cell(backend: ResilientBackend) -> str:
-        result = scale_sinkhorn_knopp(
-            graph, sk_iterations, backend=backend
+    def resilient(spec: str) -> ResilientBackend:
+        return ResilientBackend(
+            spec, deadline=deadline, max_retries=max_retries,
+            backoff=0.01, max_backoff=0.1, seed=seed,
         )
+
+    def scale(spec: str, schedule: str, plan: FaultPlan) -> str:
+        with resilient(spec) as backend, injected_faults(plan):
+            result = scale_sinkhorn_knopp(
+                graph, sk_iterations, backend=backend
+            )
         if not (
             np.array_equal(result.dr, reference.dr)
             and np.array_equal(result.dc, reference.dc)
@@ -883,10 +705,11 @@ def run_chaos(
             raise AssertionError("scaling diverged from serial reference")
         return ""
 
-    def match_cell(backend: ResilientBackend) -> str:
-        result = one_sided_match(
-            support_graph, sk_iterations, seed=seed, backend=backend
-        )
+    def match(spec: str, schedule: str, plan: FaultPlan) -> str:
+        with resilient(spec) as backend, injected_faults(plan):
+            result = one_sided_match(
+                support_graph, sk_iterations, seed=seed, backend=backend
+            )
         result.matching.validate(support_graph)
         quality = result.cardinality / n
         floor = ONE_SIDED_GUARANTEE - quality_eps
@@ -894,32 +717,22 @@ def run_chaos(
             raise AssertionError(
                 f"quality {quality:.4f} below floor {floor:.4f}"
             )
-        return f"quality={quality:.4f}"
+        return ""
 
-    def exact_cell(backend: ResilientBackend) -> str:
-        from repro.matching.exact.auction import auction_match
-
-        result = auction_match(
-            support_graph, backend=backend, sampling="never"
-        )
+    def exact(spec: str, schedule: str, plan: FaultPlan) -> str:
+        with resilient(spec) as backend, injected_faults(plan):
+            result = auction_match(
+                support_graph, backend=backend, sampling="never"
+            )
         result.matching.validate(support_graph)
         if result.cardinality != exact_reference:
             raise AssertionError(
                 f"exact cardinality {result.cardinality} != no-fault "
                 f"maximum {exact_reference}"
             )
-        return f"cardinality={result.cardinality}"
+        return ""
 
-    def serve_cell(backend: ResilientBackend) -> str:
-        from repro.errors import ReproError
-        from repro.serve import (
-            RUNG_GUARANTEES,
-            MatchingServer,
-            MatchRequest,
-            ServerConfig,
-        )
-
-        n_requests, n_clients = 16, 4
+    def serve(spec: str, schedule: str, plan: FaultPlan) -> str:
         config = ServerConfig(
             max_queue=8,
             n_workers=2,
@@ -927,143 +740,34 @@ def run_chaos(
             breaker_threshold=3,
             breaker_cooldown=0.1,
         )
-        counts = {"ok": 0, "typed": 0}
-        problems: list[str] = []
-        next_slot = iter(range(n_requests))
-        lock = threading.Lock()
-        server = MatchingServer(backend, config=config)
+        with resilient(spec) as backend:
+            report = run_soak(
+                16, backend=backend, n=n, iterations=sk_iterations,
+                deadline=budget / 2, overload=2.0, seed=seed,
+                config=config, fault_plan=plan,
+            )
+        if not report.passed:
+            raise AssertionError("; ".join(report.violations[:3]))
+        return ""
 
-        def client() -> None:
-            while True:
-                with lock:
-                    slot = next(next_slot, None)
-                if slot is None:
-                    return
-                request = MatchRequest(
-                    support_graph, sk_iterations, seed=seed + slot
-                )
-                try:
-                    response = server.submit(request, timeout=budget)
-                except ReproError:
-                    with lock:
-                        counts["typed"] += 1
-                    continue
-                except BaseException as exc:  # noqa: BLE001 - audited
-                    with lock:
-                        problems.append(
-                            f"untyped {type(exc).__name__}: {exc}"
-                        )
-                    continue
-                try:
-                    response.matching.validate(support_graph)
-                    if (
-                        response.guarantee
-                        > RUNG_GUARANTEES[response.rung] + 1e-9
-                    ):
-                        raise AssertionError(
-                            f"guarantee {response.guarantee:.3f} above "
-                            f"rung {response.rung!r} floor"
-                        )
-                except Exception as exc:  # noqa: BLE001 - audited
-                    with lock:
-                        problems.append(str(exc))
-                    continue
-                with lock:
-                    counts["ok"] += 1
-
-        try:
-            threads = [
-                threading.Thread(target=client) for _ in range(n_clients)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-        finally:
-            server.drain(timeout=budget)
-        total = counts["ok"] + counts["typed"] + len(problems)
-        if problems:
-            raise AssertionError("; ".join(problems[:3]))
-        if total != n_requests:
-            raise AssertionError(
-                f"lost requests: {n_requests} submitted, {total} outcomes"
-            )
-        return f"ok={counts['ok']} typed={counts['typed']}"
-
-    outcomes: list[ChaosOutcome] = []
-    for backend_spec in backends:
-        def make_backend(spec: str = backend_spec) -> ResilientBackend:
-            return ResilientBackend(
-                spec, deadline=deadline, max_retries=max_retries,
-                backoff=0.01, max_backoff=0.1, seed=seed,
-            )
-
-        for schedule, plan in schedules.items():
-            outcomes.append(
-                _run_cell(
-                    "scale", backend_spec, schedule, plan,
-                    scale_cell, make_backend, budget,
-                )
-            )
-        if "storm" in schedules:
-            outcomes.append(
-                _run_cell(
-                    "match", backend_spec, "storm", schedules["storm"],
-                    match_cell, make_backend, budget * 2,
-                )
-            )
-            outcomes.append(
-                _run_cell(
-                    "exact", backend_spec, "storm", schedules["storm"],
-                    exact_cell, make_backend, budget * 2,
-                )
-            )
-            outcomes.append(
-                _run_cell(
-                    "serve", backend_spec, "storm", schedules["storm"],
-                    serve_cell, make_backend, budget * 3,
-                )
-            )
-    if "storm" in schedules:
-        recovery_n = min(n, 150)
-        for schedule, plan in recovery_schedules(seed=seed).items():
-            outcomes.append(
-                _recovery_cell(
-                    schedule, plan,
-                    n=recovery_n, seed=seed, budget=budget * 2,
-                )
-            )
-        # Network rows: socket transport under wire faults, and the
-        # multi-daemon failover soak (subprocess daemons — budgeted
-        # generously; the cell's own assertions are wall-clock-free).
-        net_n = min(n, 150)
-        for schedule, plan in net_schedules(seed=seed).items():
-            outcomes.append(
-                _net_cell(
-                    schedule, plan, n=net_n, seed=seed, budget=budget * 2
-                )
-            )
-        for schedule in ("none", "sigkill"):
-            outcomes.append(
-                _failover_cell(
-                    schedule,
-                    n=min(n, 120),
-                    seed=seed,
-                    budget=max(budget * 2, 120.0),
-                )
-            )
-        # Shard row: the daemon-tier sharded matching, uninterrupted and
-        # with a shard daemon SIGKILLed mid-reconcile; the recovered
-        # merged matching must be bitwise the sim-tier result or fail
-        # typed — never silently sub-quality.
-        for schedule in ("none", "sigkill"):
-            outcomes.append(
-                _shard_cell(
-                    schedule,
-                    n=min(n, 120),
-                    seed=seed,
-                    budget=max(budget * 2, 120.0),
-                )
-            )
-    report = ChaosReport(outcomes=tuple(outcomes))
-    return report
+    rows = [
+        _Row(workload, spec, plans, factor * budget, BackendError,
+             partial(body, spec), faults=True)
+        for spec in backends
+        for workload, plans, factor, body in (
+            ("scale", schedules, 1, scale),
+            ("match", storm, 2, match),
+            ("exact", storm, 2, exact),
+            ("serve", storm, 3, serve),
+        )
+        if plans
+    ]
+    if storm:
+        rows += _sweep_rows(n, seed, budget)
+    return ChaosReport(
+        tuple(
+            _cell(row, schedule, plan)
+            for row in rows
+            for schedule, plan in row.schedules.items()
+        )
+    )

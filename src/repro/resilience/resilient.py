@@ -193,12 +193,16 @@ class ResilientBackend(Backend):
                 raise err
         return results
 
-    def close(self) -> None:
+    def close_runners(self) -> None:
+        """Stop the idle runner threads; the inner backend stays open."""
         self._runners.close()
+
+    def close(self) -> None:
+        self.close_runners()
         self.inner.close()
 
     def drain(self, timeout: float | None = None) -> bool:
-        self._runners.close()
+        self.close_runners()
         return self.inner.drain(timeout)
 
     def healthy(self) -> bool:

@@ -54,14 +54,14 @@ import json
 import sys
 import threading
 from collections import OrderedDict
-from typing import Any, IO
+from typing import IO, Any, Callable
 
 import numpy as np
 
 from repro import telemetry as _tm
 from repro.errors import ReproError, ServiceError, ShardError, StreamError
 from repro.graph.csr import BipartiteGraph
-from repro.parallel.backends import Backend
+from repro.parallel.backends import Backend, get_backend
 from repro.serve.server import MatchingServer, MatchRequest, ServerConfig
 
 __all__ = [
@@ -970,6 +970,68 @@ class Dispatcher:
         return self.handle(msg)
 
 
+def _run_daemon(
+    backend: Backend | str | None,
+    serve: Callable[[Dispatcher], int],
+    *,
+    config: ServerConfig | None,
+    graph_cache_cap: int,
+    max_streams: int,
+    journal_dir: str | None,
+    recover: bool,
+    checkpoint_every: int,
+    acked_cap: int,
+) -> int:
+    """The set-up both daemon fronts share; returns the exit code.
+
+    Resolves *backend* once: the server, the stream registry and every
+    matcher that the registry or recovery builds run on that one
+    backend, which is closed after the server drains unless the caller
+    passed an instance.  *serve* runs the front over the dispatcher and
+    returns its own exit code; a poisoned journal overrides it with
+    :data:`JOURNAL_POISONED_EXIT`.
+    """
+    # A SIGKILLed predecessor never swept its shared-memory segments;
+    # reclaim any whose creator is gone before spawning our own.
+    from repro.parallel.shm import reclaim_stale_segments
+
+    reclaim_stale_segments()
+    shared = get_backend(backend)
+    try:
+        cache = GraphCache(graph_cache_cap)
+        if recover:
+            if journal_dir is None:
+                raise ServiceError("--recover requires a journal directory")
+            from repro.serve.recovery import recover_registry
+
+            streams, _ = recover_registry(
+                journal_dir,
+                backend=shared,
+                max_streams=max_streams,
+                cache=cache,
+                checkpoint_every=checkpoint_every,
+            )
+        else:
+            journal = None
+            if journal_dir is not None:
+                from repro.serve.journal import DurableLog
+
+                journal = DurableLog(
+                    journal_dir, checkpoint_every=checkpoint_every
+                )
+            streams = _StreamRegistry(max_streams, shared, journal=journal)
+        with MatchingServer(shared, config=config) as server:
+            code = serve(
+                Dispatcher(server, cache, streams, acked_cap=acked_cap)
+            )
+        if streams.journal is not None:
+            streams.journal.close()
+    finally:
+        if shared is not backend:
+            shared.close()
+    return JOURNAL_POISONED_EXIT if streams.poisoned else code
+
+
 def serve_forever(
     backend: Backend | str | None = None,
     *,
@@ -1003,40 +1065,8 @@ def serve_forever(
     """
     stdin = stdin if stdin is not None else sys.stdin
     stdout = stdout if stdout is not None else sys.stdout
-    # A SIGKILLed predecessor never swept its shared-memory segments;
-    # reclaim any whose creator is gone before spawning our own.
-    from repro.parallel.shm import reclaim_stale_segments
 
-    reclaim_stale_segments()
-    cache = GraphCache(graph_cache_cap)
-    if recover:
-        if journal_dir is None:
-            raise ServiceError("--recover requires a journal directory")
-        from repro.serve.recovery import recover_registry
-
-        streams, _ = recover_registry(
-            journal_dir,
-            backend=backend,
-            max_streams=max_streams,
-            cache=cache,
-            checkpoint_every=checkpoint_every,
-        )
-    elif journal_dir is not None:
-        from repro.serve.journal import DurableLog
-
-        streams = _StreamRegistry(
-            max_streams,
-            backend,
-            journal=DurableLog(
-                journal_dir, checkpoint_every=checkpoint_every
-            ),
-        )
-    else:
-        streams = _StreamRegistry(max_streams, backend)
-
-    broken_pipe = False
-    with MatchingServer(backend, config=config) as server:
-        dispatcher = Dispatcher(server, cache, streams, acked_cap=acked_cap)
+    def loop(dispatcher: Dispatcher) -> int:
         for line in stdin:
             try:
                 handled = dispatcher.handle_line(line)
@@ -1053,7 +1083,6 @@ def serve_forever(
                 # an unhandled traceback, or a hang retrying the write —
                 # left supervisors guessing; instead log one typed line
                 # and exit nonzero so they restart us.
-                broken_pipe = True
                 with contextlib.suppress(Exception):
                     sys.stderr.write(
                         json.dumps(
@@ -1068,16 +1097,22 @@ def serve_forever(
                     sys.stderr.flush()
                 if _tm.enabled():
                     _tm.incr("serve.output_pipe_closed")
+                return BROKEN_PIPE_EXIT
+            # A poisoned journal leaves the in-memory registry ahead of
+            # the durable log; acknowledging anything further would be a
+            # lie.  Die and let the supervisor restart through recovery.
+            if stop or dispatcher.poisoned:
                 break
-            if stop:
-                break
-            if dispatcher.poisoned:
-                # The in-memory registry is ahead of the durable log;
-                # acknowledging anything further would be a lie.  Die
-                # and let the supervisor restart through recovery.
-                break
-    if streams.journal is not None:
-        streams.journal.close()
-    if streams.poisoned:
-        return JOURNAL_POISONED_EXIT
-    return BROKEN_PIPE_EXIT if broken_pipe else 0
+        return 0
+
+    return _run_daemon(
+        backend,
+        loop,
+        config=config,
+        graph_cache_cap=graph_cache_cap,
+        max_streams=max_streams,
+        journal_dir=journal_dir,
+        recover=recover,
+        checkpoint_every=checkpoint_every,
+        acked_cap=acked_cap,
+    )

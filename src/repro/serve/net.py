@@ -71,7 +71,7 @@ from repro.errors import (
 )
 from repro.resilience.backoff import BackoffPolicy
 from repro.resilience.faults import FaultKind, FaultSpec, active_plan
-from repro.serve.daemon import Dispatcher
+from repro.serve.daemon import Dispatcher, _run_daemon
 
 __all__ = [
     "encode_frame",
@@ -783,49 +783,23 @@ def serve_listen(
     address once the server is accepting — ``python -m repro serve
     --listen`` prints it so supervisors can wait for the line.
     """
-    from repro.parallel.shm import reclaim_stale_segments
-    from repro.serve.daemon import (
-        JOURNAL_POISONED_EXIT,
-        GraphCache,
-        _StreamRegistry,
-    )
-    from repro.serve.server import MatchingServer
-
-    reclaim_stale_segments()
-    cache = GraphCache(graph_cache_cap)
-    if recover:
-        if journal_dir is None:
-            raise ServiceError("--recover requires a journal directory")
-        from repro.serve.recovery import recover_registry
-
-        streams, _ = recover_registry(
-            journal_dir,
-            backend=backend,
-            max_streams=max_streams,
-            cache=cache,
-            checkpoint_every=checkpoint_every,
-        )
-    elif journal_dir is not None:
-        from repro.serve.journal import DurableLog
-
-        streams = _StreamRegistry(
-            max_streams,
-            backend,
-            journal=DurableLog(journal_dir, checkpoint_every=checkpoint_every),
-        )
-    else:
-        streams = _StreamRegistry(max_streams, backend)
-
-    with MatchingServer(backend, config=config) as server:
-        dispatcher = Dispatcher(server, cache, streams, acked_cap=acked_cap)
-        with SocketServer(
-            dispatcher, address, deadline=deadline
-        ) as front:
+    def loop(dispatcher: Dispatcher) -> int:
+        with SocketServer(dispatcher, address, deadline=deadline) as front:
             if ready is not None:
                 ready(front.address)
             while not front.shutdown_requested.wait(timeout=0.2):
                 if dispatcher.poisoned:
                     break
-    if streams.journal is not None:
-        streams.journal.close()
-    return JOURNAL_POISONED_EXIT if streams.poisoned else 0
+        return 0
+
+    return _run_daemon(
+        backend,
+        loop,
+        config=config,
+        graph_cache_cap=graph_cache_cap,
+        max_streams=max_streams,
+        journal_dir=journal_dir,
+        recover=recover,
+        checkpoint_every=checkpoint_every,
+        acked_cap=acked_cap,
+    )

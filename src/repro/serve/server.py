@@ -33,7 +33,8 @@ path:
 * **Graceful drain** — :meth:`MatchingServer.drain` stops admission,
   completes (or typed-fails) everything queued, waits for in-flight
   requests, then drains the execution backend (the resilient wrapper
-  stops its runner threads and drains its inner backend).
+  stops its runner threads and drains its inner backend, unless the
+  caller owns that backend).
 * **Probes + telemetry** — :meth:`health` / :meth:`ready` for liveness
   and readiness, and ``serve.*`` counters/gauges/timers throughout.
 
@@ -118,6 +119,9 @@ _SUBSTRATE_FAILURES = (
 )
 
 _STOP = object()  # worker-stop sentinel
+
+#: Sliding window (seconds) over which deadline misses are counted.
+_MISS_WINDOW = 5.0
 
 
 def rung_for_pressure(
@@ -224,10 +228,8 @@ class ServerConfig:
     max_retries: int = 2
     #: Consecutive substrate failures that open the circuit breaker.
     breaker_threshold: int = 5
-    #: Seconds the breaker stays open before half-open probes.
+    #: Seconds the breaker stays open before one half-open probe.
     breaker_cooldown: float = 1.0
-    #: Concurrent probe requests while half-open.
-    breaker_probes: int = 1
     #: Minimum remaining deadline budget (seconds) for attempting the
     #: ``exact`` rung; explicit ``method="exact"`` requests with less
     #: budget left shed straight to ``two_sided`` (marked ``degraded``)
@@ -237,9 +239,8 @@ class ServerConfig:
     pressure_high: float = 0.5
     #: Queue fill fraction at which they step down two rungs.
     pressure_critical: float = 0.875
-    #: Sliding window (seconds) for the deadline-miss counter.
-    miss_window: float = 5.0
-    #: Misses inside the window that step the ladder down one more rung.
+    #: Deadline misses inside the last 5 s that step the ladder down
+    #: one more rung.
     miss_threshold: int = 3
     #: Test seam: called as ``hook(request, rung)`` on the serving worker
     #: right before each rung execution.  Lets tests block workers or
@@ -331,7 +332,8 @@ class MatchingServer:
         (per-chunk deadlines and retries from the config), so deadline
         budgets always reach chunk execution.  Backends created here
         (from a spec / ``None``) are closed by :meth:`drain`; a backend
-        *instance* stays the caller's to close.
+        *instance* stays the caller's to close, and :meth:`drain` stops
+        only the runner threads of a wrapper made around it here.
     config:
         A :class:`ServerConfig`; defaults apply when ``None``.
     """
@@ -345,6 +347,7 @@ class MatchingServer:
         self.config = config or ServerConfig()
         self._owns_backend = not isinstance(backend, Backend)
         inner = get_backend(backend)
+        self._owns_wrapper = not isinstance(inner, ResilientBackend)
         if isinstance(inner, ResilientBackend):
             self._backend: ResilientBackend = inner
         else:
@@ -362,7 +365,6 @@ class MatchingServer:
         self._breaker = CircuitBreaker(
             threshold=self.config.breaker_threshold,
             cooldown=self.config.breaker_cooldown,
-            probes=self.config.breaker_probes,
         )
         self._ids = itertools.count(1)
         self._accepting = True
@@ -544,6 +546,8 @@ class MatchingServer:
             self._runners.close()
             if self._owns_backend:
                 self._backend.drain()
+            elif self._owns_wrapper:
+                self._backend.close_runners()
             self._closed = True
             _tm.incr("serve.drains")
             _tm.event("serve.drained", served_all=served_all)
@@ -759,7 +763,7 @@ class MatchingServer:
             return len(self._misses)
 
     def _trim_misses(self, now: float) -> None:
-        horizon = now - self.config.miss_window
+        horizon = now - _MISS_WINDOW
         while self._misses and self._misses[0] < horizon:
             self._misses.popleft()
 

@@ -6,6 +6,8 @@ full human-facing sweep is ``python -m repro chaos`` / ``make chaos``.
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.resilience import run_chaos, standard_schedules
@@ -33,13 +35,35 @@ def test_outcome_classification():
     assert ok.passed and degraded.passed and not failed.passed
 
 
-def test_chaos_matrix_honours_contract():
+@pytest.fixture(scope="module")
+def full_sweep():
+    """One full sweep over the default backends, shared by the tests."""
+    return run_chaos(n=250, deadline=0.25, seed=0)
+
+
+def test_chaos_matrix_honours_contract(full_sweep):
     """Every cell: bitwise-correct result or typed error, inside budget."""
-    report = run_chaos(n=250, deadline=0.25, seed=0)
+    report = full_sweep
     assert report.passed, "\n" + report.render()
     # The control schedule must not merely "not fail" — it must succeed.
     controls = [o for o in report.outcomes if o.schedule == "none"]
     assert controls and all(o.status == "ok" for o in controls)
+
+
+def test_chaos_matrix_reports_injected_faults(full_sweep):
+    """Every backend-row cell reports its plan's hits, and every schedule
+    but the control injects in at least one row.  Faults are drawn by
+    (label, chunk, attempt), so one row alone can stay inert."""
+    hits: dict[str, int] = {}
+    for o in full_sweep.outcomes:
+        if o.workload not in ("scale", "match", "exact", "serve"):
+            continue
+        count = re.match(r"faults=(\d+)\b", o.detail)
+        assert count, f"{o.workload}/{o.backend}/{o.schedule}: {o.detail!r}"
+        hits[o.schedule] = hits.get(o.schedule, 0) + int(count.group(1))
+    assert set(hits) == set(standard_schedules())
+    assert hits.pop("none") == 0
+    assert all(hits.values()), hits
 
 
 def test_chaos_serial_only_quick():

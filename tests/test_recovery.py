@@ -26,7 +26,7 @@ import pytest
 
 from repro.errors import RecoveryError, WorkerCrashError
 from repro.resilience import FaultPlan, FaultSpec, injected_faults
-from repro.resilience.chaos import _recovery_cell, recovery_schedules
+from repro.resilience.chaos import _cell, _sweep_rows
 from repro.serve.checkpoint import read_snapshot, write_snapshot
 from repro.serve.daemon import GraphCache, _StreamRegistry
 from repro.serve.journal import (
@@ -359,10 +359,13 @@ def test_recovery_row_crash_at_every_boundary():
         "mid_checkpoint": "ok",
         "divergence": "degraded:RecoveryError",
     }
-    for schedule, plan in recovery_schedules(seed=0).items():
-        outcome = _recovery_cell(
-            schedule, plan, n=120, seed=0, budget=120.0
-        )
+    (row,) = [
+        row for row in _sweep_rows(120, seed=0, budget=60.0)
+        if row.workload == "recovery"
+    ]
+    assert set(row.schedules) == set(expected)
+    for schedule, plan in row.schedules.items():
+        outcome = _cell(row, schedule, plan)
         assert outcome.status == expected[schedule], (
             f"{schedule}: {outcome.status} [{outcome.detail}]"
         )

@@ -24,6 +24,7 @@ from repro.errors import (
     WorkerCrashError,
 )
 from repro.graph.generators import union_of_permutations
+from repro.parallel.backends import SerialBackend
 from repro.serve import (
     RUNG_GUARANTEES,
     RUNGS,
@@ -322,6 +323,37 @@ def test_drain_completes_queued_work_then_rejects(graph):
         server.submit(MatchRequest(graph, iterations=1))
     assert server.health()["status"] == "stopped"
     assert server.drain() is True  # idempotent
+
+
+def test_drain_stops_own_wrapper_but_leaves_caller_backend_open(graph):
+    """A backend instance stays the caller's: drain stops the runner
+    threads of the resilient wrapper the server made around it, and
+    never closes the instance itself."""
+
+    class Tracked(SerialBackend):
+        closed = False
+
+        def close(self) -> None:
+            self.closed = True
+
+    before = set(threading.enumerate())
+
+    def runners() -> list[threading.Thread]:
+        return [
+            t for t in threading.enumerate()
+            if t not in before and t.name.startswith("resilient-attempt")
+        ]
+
+    backend = Tracked()
+    server = MatchingServer(backend, config=_config())
+    server.submit(MatchRequest(graph, iterations=1, seed=0), timeout=30.0)
+    assert runners()
+    assert server.drain(timeout=30.0) is True
+    stop_by = time.monotonic() + 5.0
+    while runners() and time.monotonic() < stop_by:
+        time.sleep(0.01)
+    assert not runners()
+    assert not backend.closed
 
 
 def test_drain_timeout_sheds_queued_typed(graph):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import io
 import json
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -515,6 +516,35 @@ def test_daemon_stream_session_lifecycle():
     assert "stale epoch" in by_id[5]["message"]
     assert by_id[6]["ok"] and by_id[6]["closed"]
     assert not by_id[7]["ok"] and "unknown stream handle" in by_id[7]["message"]
+
+
+def test_daemon_sessions_share_one_backend_and_close_it():
+    """Every session runs on the daemon's one backend: three
+    open/rematch/close cycles on ``shm:2`` leave one pool alive, and the
+    daemon closes it when it exits."""
+    before = set(multiprocessing.active_children())
+
+    def pool_workers() -> int:
+        return len(set(multiprocessing.active_children()) - before)
+
+    alive: list[int] = []
+
+    def requests():
+        graph = {"kind": "union", "n": 200, "k": 3, "seed": 0}
+        for k in range(1, 4):
+            handle = f"s{k}"
+            yield {"id": k, "op": "stream_open", "graph": graph, "seed": k}
+            yield {"id": k, "op": "rematch", "handle": handle}
+            yield {"id": k, "op": "stream_close", "handle": handle}
+        alive.append(pool_workers())
+
+    stdout = io.StringIO()
+    lines = (json.dumps(r) + "\n" for r in requests())
+    assert serve_forever("shm:2", stdin=lines, stdout=stdout) == 0
+    replies = [json.loads(line) for line in stdout.getvalue().splitlines()]
+    assert len(replies) == 9 and all(r["ok"] for r in replies)
+    assert 1 <= alive[0] <= 2
+    assert pool_workers() == 0
 
 
 def test_daemon_stream_limits_and_validation():
