@@ -69,8 +69,12 @@ shard-smoke:
 # must exit 0 (every output check passed) with ok_frac 1.0.  No timing
 # gates.  Each stream round crosses a journal checkpoint.  Then one
 # traced batch run: the tracer wraps the Karp-Sipser entry points by
-# name (a renamed one fails the run), core.ks_ms must be positive, and
-# Karp-Sipser must not reach the pool (no ks_phase1_scan kernel calls).
+# name (a renamed one fails the run), so core.ks_ms must be positive;
+# every pool kernel call must be an SK sweep or a scaled choice
+# (parallel.kernel_calls equals the sum of the sk_sweep, sk_sweep_err
+# and choice_scaled calls, so Karp-Sipser stays off the pool), and
+# sk_sweep calls must be positive (SK still dispatches through
+# run_kernel rather than silently dropping its layer).
 # Then one traced serve run: the tracer wraps build_graph, Router.request
 # and the ResilientBackend map methods by name, so each of their layers
 # must read above zero rather than silently vanish after a rename.
@@ -92,8 +96,8 @@ perfbench-smoke:
 	timeout 300 env -u PYTHONPATH $(PYTHON) perfbench/run.py --workload batch --seed 1 --seconds 4 --trace 1 > $$out \
 		|| { cat $$out; echo "perfbench-smoke: traced batch exited nonzero"; exit 1; }; \
 	tail -n 1 $$out; \
-	tail -n 1 $$out | $(PYTHON) -c "import json, sys; m = json.load(sys.stdin)['metrics']; sys.exit(not (m['core.ks_ms']['value'] > 0 and m['parallel.kernel_calls.ks_phase1_scan']['value'] == 0))" \
-		|| { cat $$out; echo "perfbench-smoke: traced batch needs core.ks_ms > 0 and no ks_phase1_scan calls"; exit 1; }
+	tail -n 1 $$out | $(PYTHON) -c "import json, math, sys; m = {k: v['value'] for k, v in json.load(sys.stdin)['metrics'].items()}; calls = sum(m['parallel.kernel_calls.' + k] for k in ('sk_sweep', 'sk_sweep_err', 'choice_scaled')); sys.exit(not (m['core.ks_ms'] > 0 and m['parallel.kernel_calls.sk_sweep'] > 0 and math.isclose(m['parallel.kernel_calls'], calls, rel_tol=1e-9)))" \
+		|| { cat $$out; echo "perfbench-smoke: traced batch needs core.ks_ms > 0, sk_sweep calls > 0, and kernel calls = sk_sweep + sk_sweep_err + choice_scaled calls"; exit 1; }
 	@out=.perfbench/smoke-serve-trace.out; \
 	timeout 300 env -u PYTHONPATH $(PYTHON) perfbench/run.py --workload serve --seed 1 --seconds 4 --trace 1 > $$out \
 		|| { cat $$out; echo "perfbench-smoke: traced serve exited nonzero"; exit 1; }; \

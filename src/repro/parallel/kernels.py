@@ -4,8 +4,8 @@ The hot loops of the library — the Sinkhorn–Knopp column/row sweeps, the
 scaled 1-out choice sampling, and the auction's bidding sweep — are
 *registered kernels*: named module-level functions with the signature
 ``fn(lo, hi, views)`` that read whole arrays from *views* and write only
-the ``[lo, hi)`` slice of their declared output arrays (plus a small
-per-chunk return value).  Registering them buys two things:
+the output entries their chunk ``[lo, hi)`` owns (plus a small per-chunk
+return value).  Registering them buys two things:
 
 * every backend runs the *same* function over the *same* chunk grid, so
   results are bitwise identical across serial, threads, and the
@@ -24,20 +24,32 @@ prefix sums) therefore produces identical floating-point results on any
 backend; dynamic load balance comes from *scheduling* the fixed chunks,
 not from reshaping them.
 
+The Sinkhorn–Knopp kernels are *line kernels*: their ``range(n)`` is the
+sorted positions of a :class:`~repro.graph.csr.LineLayout`, and each
+line's sum is a left-to-right fold over its ascending neighbours, so
+their results do not depend on the grid at all.  Their grid
+(:data:`SK_MIN_CHUNK`) is sized for dispatch cost only.
+
 Kernel contract
 ---------------
 
 * outputs must not alias inputs — retries and corrupt-result recovery
   re-execute a chunk and must be idempotent;
 * a kernel may read any element of any input view (gathers are fine) but
-  may write only ``out[lo:hi]`` slices of its declared outputs;
+  may write only the output entries its chunk owns: ``out[lo:hi]``, or
+  for a line kernel ``out[perm[lo:hi]]`` — the lines at its sorted
+  positions.  Either way the owned entries are disjoint across chunks,
+  cover the whole output, and re-running a chunk rewrites the same
+  values;
 * the per-chunk return value should be a scalar or a small tuple — on
   the shared-memory pool it crosses a process boundary.
 """
 
 from __future__ import annotations
 
+import bisect
 import contextlib
+import operator
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Mapping
 
@@ -49,7 +61,6 @@ from repro.errors import BackendError
 from repro.matching.matching import NIL
 from repro.parallel.backends import Backend, get_backend
 from repro.parallel.partition import chunk_ranges
-from repro.parallel.reduction import segment_sums
 
 __all__ = [
     "Kernel",
@@ -79,7 +90,7 @@ class Kernel:
 
     name: str
     fn: RangeKernel
-    #: View names whose ``[lo, hi)`` slice the kernel writes.
+    #: View names the kernel writes (only the entries its chunk owns).
     outputs: tuple[str, ...] = ()
     min_chunk: int = DEFAULT_MIN_CHUNK
     target_chunks: int = DEFAULT_TARGET_CHUNKS
@@ -276,41 +287,101 @@ def _segment_pick(
 # ----------------------------------------------------------------------
 # Sinkhorn–Knopp sweeps
 # ----------------------------------------------------------------------
-@register_kernel("sk_sweep", outputs=("out",))
+
+#: Each line's sum is the same left-to-right fold on any chunk grid, so
+#: the SK grid is sized for dispatch cost alone: 7 chunks at n = 200,000.
+SK_MIN_CHUNK = 32768
+
+
+#: A rank of the fold costs one gather-and-add call over the chunk's
+#: lines that reach it.  Below this many lines the call overhead
+#: outweighs the adds, so once more than ``_TAIL_RANKS`` ranks remain the
+#: chunk sums them in one vectorized pass instead (:func:`_add_tail`) —
+#: a dense row of a heavy-tailed matrix then costs a few calls, not one
+#: per neighbour.
+_TAIL_LINES = 512
+_TAIL_RANKS = 8
+
+
+def _fold_lines(lo: int, hi: int, v: Mapping[str, Any]) -> FloatArray:
+    """Sums of ``opp`` over the neighbours of sorted positions ``[lo, hi)``.
+
+    ``perm``/``rind``/``counts`` are a :class:`~repro.graph.csr.LineLayout`.
+    Rank ``k`` adds the ``k``-th neighbour of every position in the chunk
+    that has one — a contiguous prefix of the chunk — so each sum is the
+    sequential ``((0 + x0) + x1) + ...`` over ascending neighbours, the
+    paper's loop and a CSR mat-vec's, whatever the grid.  Positions past
+    ``counts[0]`` are empty lines and sum to 0.
+    """
+    opp = v["opp"]
+    rind = v["rind"]
+    counts = v["counts"].tolist()
+    # Ranks the chunk's longest line has: the k with counts[k] > lo.
+    ranks = bisect.bisect_left(counts, -lo, key=operator.neg)
+    sums = np.zeros(hi - lo)
+    base = 0
+    for k in range(ranks):
+        m = min(hi, counts[k]) - lo
+        if m < _TAIL_LINES and ranks - k > _TAIL_RANKS:
+            _add_tail(sums[:m], lo, hi, k, ranks, v)
+            break
+        sums[:m] += opp[rind[base + lo : base + lo + m]]
+        base += counts[k]
+    return sums
+
+
+def _add_tail(
+    sums: FloatArray, lo: int, hi: int, k: int, ranks: int,
+    v: Mapping[str, Any],
+) -> None:
+    """Add ranks ``k .. ranks-1`` of positions ``lo, lo+1, ...`` to *sums*.
+
+    Gathers the remaining entries in rank-major order behind the running
+    sums and adds them with ``np.bincount``, which accumulates each bin
+    in input order: position ``i`` gets ``((sums[i] + x_k) + x_k+1) + ...``,
+    exactly what the rank fold would have produced.
+    """
+    counts = v["counts"]
+    starts = np.cumsum(counts[:ranks]) - counts[:ranks] + lo
+    lines = np.minimum(counts[k:ranks], hi) - lo
+    first = np.cumsum(lines) - lines
+    pos = np.arange(int(first[-1] + lines[-1])) - np.repeat(first, lines)
+    terms = v["opp"][v["rind"][np.repeat(starts[k:], lines) + pos]]
+    m = sums.shape[0]
+    sums[:] = np.bincount(
+        np.concatenate((np.arange(m), pos)),
+        weights=np.concatenate((sums, terms)),
+        minlength=m,
+    )
+
+
+@register_kernel("sk_sweep", outputs=("out",), min_chunk=SK_MIN_CHUNK)
 def _sk_sweep(lo: int, hi: int, v: Mapping[str, Any]) -> None:
-    """One SK half-sweep for segments ``[lo, hi)``.
-
-    Fuses the gather of the opposite-side factors with the segment sums
-    (only the chunk's own edges are touched) and the reciprocal:
-    ``out[i] = 1 / sum(opp[ind[ptr[i]:ptr[i+1]]])``.
-    """
-    ptr = v["ptr"]
-    s = ptr[lo]
-    w = v["opp"][v["ind"][s : ptr[hi]]]
-    sums = segment_sums(w, ptr[lo : hi + 1] - s)
-    v["out"][lo:hi] = _reciprocal_or_one(sums)
+    """One SK half-sweep for sorted positions ``[lo, hi)``:
+    ``out[perm[p]] = 1 / (sum of opp over line perm[p]'s neighbours)``."""
+    v["out"][v["perm"][lo:hi]] = _reciprocal_or_one(_fold_lines(lo, hi, v))
 
 
-@register_kernel("sk_sweep_err", outputs=("out",))
+@register_kernel("sk_sweep_err", outputs=("out",), min_chunk=SK_MIN_CHUNK)
 def _sk_sweep_err(lo: int, hi: int, v: Mapping[str, Any]) -> float:
-    """Fused SK half-sweep plus convergence error for segments ``[lo, hi)``.
+    """Fused SK half-sweep plus convergence error for positions ``[lo, hi)``.
 
-    Computes the segment sums once and uses them twice: the chunk's
-    column-sum error against the *current* factors ``mine`` (returned),
-    and the *next* factors written to ``out``.  This halves the gather
-    traffic of a measure-then-sweep iteration.
+    Folds the line sums once and uses them twice: the chunk's column-sum
+    error against the *current* factors ``mine`` (returned; empty lines,
+    the positions past ``counts[0]``, are excluded), and the *next*
+    factors written to ``out``.  This halves the gather traffic of a
+    measure-then-sweep iteration.
     """
-    ptr = v["ptr"]
-    s = ptr[lo]
-    w = v["opp"][v["ind"][s : ptr[hi]]]
-    sums = segment_sums(w, ptr[lo : hi + 1] - s)
-    nonempty = ptr[lo + 1 : hi + 1] > ptr[lo:hi]
-    if nonempty.any():
-        scaled = sums[nonempty] * v["mine"][lo:hi][nonempty]
+    sums = _fold_lines(lo, hi, v)
+    lines = v["perm"][lo:hi]
+    counts = v["counts"]
+    nonempty = (min(hi, int(counts[0])) - lo) if counts.shape[0] else 0
+    if nonempty > 0:
+        scaled = sums[:nonempty] * v["mine"][lines[:nonempty]]
         err = float(np.abs(scaled - 1.0).max())
     else:
         err = 0.0
-    v["out"][lo:hi] = _reciprocal_or_one(sums)
+    v["out"][lines] = _reciprocal_or_one(sums)
     return err
 
 

@@ -1,7 +1,10 @@
 """Segment reductions over CSR/CSC pointer arrays.
 
-``segment_sums`` is the workhorse of Sinkhorn–Knopp: for every row (or
-column) sum a gathered value over its adjacency slice.  It is built on
+``segment_sums`` sums a gathered value over every row's (or column's)
+adjacency slice: the convergence measures, the quality-driven and
+streaming rescalers and the diagnostics use it.  (The Sinkhorn–Knopp
+kernels sum left to right over a line layout instead; see
+:mod:`repro.parallel.kernels`.)  It is built on
 ``numpy.add.reduceat`` with the care that function needs around empty
 segments (reduceat returns ``values[ptr[i]]`` for an empty segment instead
 of 0, and rejects indices equal to ``len(values)``).

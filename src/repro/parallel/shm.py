@@ -11,10 +11,13 @@ persistent pool of real processes, as follows.
   ``fork()``.
 * **Published arrays** — every array a kernel touches lives in a
   ``multiprocessing.shared_memory`` segment.  Read-only arrays (graph
-  CSR/CSC — :class:`~repro.graph.BipartiteGraph` freezes them) are copied
-  in **once** and cached; writable arrays get a cached segment that is
-  synced in per call and, for outputs, synced back out.  Workers attach
-  each segment once and cache the mapping.
+  CSR/CSC and line layouts — :class:`~repro.graph.BipartiteGraph` freezes
+  them) are copied in **once** and cached by identity, pinned so the
+  identity cannot be recycled.  Writable arrays are copied into a
+  pool-owned buffer keyed by ``(role, shape, dtype)`` — synced in per
+  call and, for outputs, synced back out — so a warmed caller that binds
+  fresh arrays to the same roles reuses the same buffers.  Workers
+  attach each segment once and cache the mapping.
 * **Kernel tasks** — workers execute *registered kernels*
   (:mod:`repro.parallel.kernels`) addressed by name.  A task message is
   ``(call id, chunk, kernel name, lo, hi, bindings, scalars, fault
@@ -60,7 +63,7 @@ import time
 from multiprocessing import resource_tracker
 from multiprocessing.shared_memory import SharedMemory
 from queue import Empty
-from typing import Any, Mapping
+from typing import Any, Hashable, Mapping
 
 import numpy as np
 
@@ -184,13 +187,6 @@ class _Segment:
     def binding(self) -> tuple[str, tuple[int, ...], str]:
         return (self.shm.name, self.view.shape, self.view.dtype.str)
 
-    def matches(self, arr: np.ndarray) -> bool:
-        return (
-            self.view.shape == arr.shape
-            and self.view.dtype == arr.dtype
-            and (self.owner is None or self.owner is arr)
-        )
-
     def destroy(self) -> None:
         self.view = None  # release the buffer export before closing
         self.shm.close()
@@ -299,7 +295,9 @@ class SharedMemoryBackend(Backend):
                 "SharedMemoryBackend requires fork support"
             ) from exc
         self.max_segments = max_segments
-        self._segments: dict[int, _Segment] = {}  # id(array) -> segment
+        # id(array) for read-only arrays, (role, shape, dtype) for
+        # writable ones; insertion order is the LRU order.
+        self._segments: dict[Hashable, _Segment] = {}
         self._pending_drops: list[str] = []
         self._procs: list[Any] = []
         self._task_q: Any = None
@@ -359,10 +357,11 @@ class SharedMemoryBackend(Backend):
             if plan is not None
             else [None] * len(parts)
         )
-        bindings: dict[str, tuple[str, tuple[int, ...], str]] = {}
-        for role, arr in arrays.items():
-            seg = self._publish(arr, sync=role not in kern.outputs)
-            bindings[role] = seg.binding
+        published = {
+            role: self._publish(role, arr, sync=role not in kern.outputs)
+            for role, arr in arrays.items()
+        }
+        bindings = {role: seg.binding for role, seg in published.items()}
         drops = tuple(self._pending_drops)
         self._pending_drops.clear()
 
@@ -387,8 +386,7 @@ class SharedMemoryBackend(Backend):
             if _tm.enabled():
                 _record_chunks(self.label, durations)
         for role in kern.outputs:
-            arr = arrays[role]
-            np.copyto(arr, self._segments[id(arr)].view)
+            np.copyto(arrays[role], published[role].view)
         return rets
 
     def _collect(
@@ -437,15 +435,18 @@ class SharedMemoryBackend(Backend):
 
     # -- publishing ----------------------------------------------------
 
-    def _publish(self, arr: np.ndarray, *, sync: bool) -> _Segment:
-        """Return the shared segment for *arr*, creating/syncing it.
+    def _publish(self, role: str, arr: np.ndarray, *, sync: bool) -> _Segment:
+        """Return the shared segment for *arr* bound to *role*,
+        creating/syncing it.
 
-        Read-only arrays sync once (the cache pins them, so identity
-        implies content).  Writable arrays sync on every call — the
+        Read-only arrays sync once and are keyed by identity (the cache
+        pins them, so identity implies content).  Writable arrays are
+        keyed by ``(role, shape, dtype)`` and sync on every call — the
         backend cannot soundly detect in-place mutation, and the memcpy
-        is O(n) against the kernels' O(nnz) work.  Output arrays skip the
-        inbound sync (*sync* False); their content is copied back after
-        the call.
+        is O(n) against the kernels' O(nnz) work — so fresh arrays bound
+        to a role reuse its buffer.  Output arrays skip the inbound sync
+        (*sync* False); a kernel writes every entry of its outputs, which
+        are copied back after the call.
         """
         if not isinstance(arr, np.ndarray):
             raise BackendError(
@@ -455,24 +456,22 @@ class SharedMemoryBackend(Backend):
             raise BackendError(
                 "kernels require C-contiguous arrays (publish a copy)"
             )
-        key = id(arr)
-        seg = self._segments.get(key)
-        if seg is not None and seg.matches(arr):
-            self._segments[key] = self._segments.pop(key)  # LRU touch
-            if seg.writable and sync:
-                np.copyto(seg.view, arr)
-            return seg
-        if seg is not None:
-            self._drop_segment(key)
-        while len(self._segments) >= self.max_segments:
-            self._drop_segment(next(iter(self._segments)))
-        seg = _Segment(arr)
-        if sync:
+        key: Hashable = (
+            (role, arr.shape, arr.dtype.str) if arr.flags.writeable
+            else id(arr)
+        )
+        seg = self._segments.pop(key, None)
+        fresh = seg is None
+        if fresh:
+            while len(self._segments) >= self.max_segments:
+                self._drop_segment(next(iter(self._segments)))
+            seg = _Segment(arr)
+        self._segments[key] = seg  # (re)insert as most recently used
+        if sync and (fresh or seg.writable):
             np.copyto(seg.view, arr)
-        self._segments[key] = seg
         return seg
 
-    def _drop_segment(self, key: int) -> None:
+    def _drop_segment(self, key: Hashable) -> None:
         seg = self._segments.pop(key)
         self._pending_drops.append(seg.shm.name)
         seg.destroy()

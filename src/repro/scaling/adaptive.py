@@ -30,6 +30,35 @@ from repro.scaling.result import ScalingResult
 
 __all__ = ["alpha_for_quality", "scale_for_quality", "QualityScaling"]
 
+_FMAX = float(np.finfo(np.float64).max)
+
+
+def _sums_stay_finite(x: np.ndarray, max_degree: int) -> bool:
+    """Whether every sum of up to *max_degree* entries of *x*, and its
+    reciprocal, is finite: a half-sweep over *x* cannot overflow."""
+    return not x.size or (
+        float(x.min()) >= 2.0 / _FMAX
+        and float(x.max()) * max_degree <= _FMAX / 2.0
+    )
+
+
+def _centre(dr: np.ndarray, dc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(dr / 2^t, dc * 2^t)`` with ``t`` centring ``dr`` and ``1 / dc``
+    in the float range.
+
+    Divergent sweeps (no total support) push ``dr`` up and ``dc`` down;
+    centring gives both sides the same headroom.  The scaled entries
+    ``dr[i] * dc[j]`` and the row-normalised pick probabilities do not
+    change under a global scale, and a power of two scales exactly, so
+    every later sweep is the uncentred one's times ``2^±t``, bit for bit.
+    """
+    if not (dr.size and dc.size):
+        return dr, dc
+    lo = min(math.log2(dr.min()), -math.log2(dc.max()))
+    hi = max(math.log2(dr.max()), -math.log2(dc.min()))
+    t = round((lo + hi) / 2.0)
+    return np.ldexp(dr, -t), np.ldexp(dc, t)
+
 
 def alpha_for_quality(quality: float) -> float:
     """Minimum column-sum level α certifying expected quality *quality*.
@@ -99,12 +128,16 @@ def scale_for_quality(
     maximum error): the relaxed Theorem 1 needs every column to carry at
     least α of probability mass.  Matrices without support may never get
     there; the budget then expires and ``target_met`` is ``False`` with
-    the strongest certificate actually reached.
+    the strongest certificate actually reached.  On such matrices the
+    factors also diverge: the loop stops at its last sweep whose sums
+    stay inside the float range, with ``target_met`` ``False``.
 
     *initial* warm-starts the sweep from previous ``(dr, dc)`` factors
     (or a :class:`ScalingResult`); when the factors already certify the
     target — the common case after a small edit batch — the loop exits
-    after the initial measurement, with zero sweeps.
+    after the initial measurement, with zero sweeps and the factors
+    unchanged.  Otherwise they are first rescaled by a power of two so
+    both sides have the same headroom (see :func:`_centre`).
     """
     alpha = alpha_for_quality(target_quality)
     # The sweep loop is re-implemented here (rather than calling
@@ -117,13 +150,21 @@ def scale_for_quality(
     )
 
     dr, dc, warm = initial_factors(graph, initial)
+    max_row_degree = int(graph.row_degrees().max(initial=0))
+    max_col_degree = int(graph.col_degrees().max(initial=0))
     done = 0
     current = _min_column_sum(graph, dr, dc)
+    if warm and current < alpha:
+        dr, dc = _centre(dr, dc)
     while current < alpha and done < max_iterations:
+        if not _sums_stay_finite(dr, max_col_degree):
+            break
         csum = segment_sums(dr[graph.row_ind], graph.col_ptr)
-        dc = _reciprocal_or_one(csum)
-        rsum = segment_sums(dc[graph.col_ind], graph.row_ptr)
-        dr = _reciprocal_or_one(rsum)
+        dc_next = _reciprocal_or_one(csum)
+        if not _sums_stay_finite(dc_next, max_row_degree):
+            break
+        rsum = segment_sums(dc_next[graph.col_ind], graph.row_ptr)
+        dc, dr = dc_next, _reciprocal_or_one(rsum)
         done += 1
         current = _min_column_sum(graph, dr, dc)
 

@@ -12,6 +12,13 @@ vector).  After a row sweep the scaled row sums are exactly one; the
 convergence error is the maximal deviation of the scaled *column* sums
 from one, measured at the top of the next iteration.
 
+Each sum runs left to right over the line's neighbours in ascending
+order, as in the loop above, on every backend, chunk grid and shard
+count (the ``sk_sweep`` kernels fold over the graph's cached line
+layouts).  :func:`~repro.scaling.convergence.column_sum_error` sums with
+``numpy.add.reduceat`` in a different order, so it agrees with the
+reported ``error`` to a few ulps, not bitwise.
+
 Empty rows/columns keep their factor at 1 and are excluded from the error
 — see Section 3.3 of the paper for why heavily non-converged scalings are
 still useful (with column sums ≥ α the OneSided guarantee degrades
@@ -211,17 +218,17 @@ def scale_sinkhorn_knopp(
     dc_next = np.empty_like(dc)
     history: list[float] = []
 
+    cols = graph.col_layout()._asdict()
+    rows = graph.row_layout()._asdict()
+
     def col_sweep_with_error() -> float:
         """One fused column pass: the convergence error of the current
         ``(dr, dc)`` and, as a side effect, the next ``dc`` in
-        ``dc_next``.  One gather+reduce serves both, which cuts a full
+        ``dc_next``.  One gather+fold serves both, which cuts a full
         SK iteration from three O(nnz) passes to two."""
         errs = run_kernel(
             "sk_sweep_err", graph.ncols,
-            {
-                "ptr": graph.col_ptr, "ind": graph.row_ind,
-                "opp": dr, "mine": dc, "out": dc_next,
-            },
+            {**cols, "opp": dr, "mine": dc, "out": dc_next},
             backend=be,
         )
         # np.max propagates NaN (unlike builtin max), which the
@@ -230,11 +237,7 @@ def scale_sinkhorn_knopp(
 
     def row_sweep() -> None:
         run_kernel(
-            "sk_sweep", graph.nrows,
-            {
-                "ptr": graph.row_ptr, "ind": graph.col_ind,
-                "opp": dc, "out": dr,
-            },
+            "sk_sweep", graph.nrows, {**rows, "opp": dc, "out": dr},
             backend=be,
         )
 

@@ -12,8 +12,8 @@ Two properties make the plan more than a bookkeeping split:
   kernel's chunk grid (:func:`repro.parallel.kernels.effective_chunk`).
   The choice kernel's tie-breaking cumsum is chunk-local, so a kernel
   run on a rebased slice whose bounds sit on global chunk boundaries
-  reproduces the serial picks bit for bit.  The SK sweep kernels are
-  segment-local and need no alignment, but share the same bounds.
+  reproduces the serial picks bit for bit.  The SK sweep kernels fold
+  each line on its own and need no alignment, but share the same bounds.
 * **Determinism.**  The plan is a pure function of ``(nrows, ncols,
   row_ptr, col_ptr, K)`` and the active chunk override — never of worker
   count, backend, or tier — so both execution tiers and the serial

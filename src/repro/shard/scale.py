@@ -3,14 +3,14 @@
 The allreduce pattern of distributed-memory scaling, in two dimensions
 and on the serial kernels: each shard owns a contiguous row range and a
 contiguous column range (:class:`~repro.shard.partition.ShardSlice`) and
-runs the registered ``sk_sweep``/``sk_sweep_err`` kernels on its
-*rebased* CSC/CSR slices against replicated opposite-side vectors.  Per
-column (and per row) the arithmetic is then literally the serial
-kernel's — same gather, same ``segment_sums``, same reciprocal — so the
-gathered global vectors are bitwise equal to
-:func:`repro.scaling.sinkhorn_knopp.scale_sinkhorn_knopp` for every shard
-count, and the convergence error (a max, which is association-free)
-matches exactly as well.
+runs the registered ``sk_sweep``/``sk_sweep_err`` kernels over the line
+layouts of its *rebased* CSC/CSR slices against replicated opposite-side
+vectors.  Per column (and per row) the arithmetic is then literally the
+serial kernel's — the same left-to-right fold over the same ascending
+neighbours, the same reciprocal — so the gathered global vectors are
+bitwise equal to :func:`repro.scaling.sinkhorn_knopp.scale_sinkhorn_knopp`
+for every shard count, and the convergence error (a max, which is
+association-free) matches exactly as well.
 
 Communication per sweep: one ``allreduce(max)`` for the error and one
 ``allgather`` per updated vector — the Amestoy–Duff–Ruiz–Uçar pattern the
@@ -31,7 +31,7 @@ import numpy as np
 from repro import telemetry as _tm
 from .._typing import FloatArray
 from ..errors import ConvergenceWarning, ScalingError
-from ..graph.csr import BipartiteGraph
+from ..graph.csr import BipartiteGraph, line_layout
 from ..parallel.kernels import run_kernel
 from ..parallel.mpi_sim import SimComm, run_ranks
 from ..scaling.result import ScalingResult
@@ -47,10 +47,15 @@ __all__ = [
 
 
 class ShardScaleLocal:
-    """One shard's kernel-level SK steps, shared by both execution tiers."""
+    """One shard's kernel-level SK steps, shared by both execution tiers.
+
+    The line layouts of the shard's rebased slices are built once, here.
+    """
 
     def __init__(self, shard: ShardSlice) -> None:
         self.shard = shard
+        self.cols = line_layout(shard.col_ptr, shard.row_ind)._asdict()
+        self.rows = line_layout(shard.row_ptr, shard.col_ind)._asdict()
 
     def col_sweep(
         self, dr_full: FloatArray, dc_own: FloatArray
@@ -65,10 +70,7 @@ class ShardScaleLocal:
         dc_next = np.empty(n_local, dtype=np.float64)
         errs = run_kernel(
             "sk_sweep_err", n_local,
-            {
-                "ptr": s.col_ptr, "ind": s.row_ind,
-                "opp": dr_full, "mine": dc_own, "out": dc_next,
-            },
+            {**self.cols, "opp": dr_full, "mine": dc_own, "out": dc_next},
         )
         # np.max propagates NaN, which the non-finite fallback relies on
         # (mirrors the serial loop).
@@ -80,8 +82,7 @@ class ShardScaleLocal:
         n_local = s.n_local_rows
         dr_own = np.empty(n_local, dtype=np.float64)
         run_kernel(
-            "sk_sweep", n_local,
-            {"ptr": s.row_ptr, "ind": s.col_ind, "opp": dc_full, "out": dr_own},
+            "sk_sweep", n_local, {**self.rows, "opp": dc_full, "out": dr_own}
         )
         return dr_own
 

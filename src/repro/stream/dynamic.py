@@ -302,6 +302,7 @@ class DynamicBipartiteGraph:
         g.col_ptr = col_ptr
         g.row_ind = self._keys_t & _COL_MASK
         g._row_of_edge = None
+        g._layouts = [None, None]
         for arr in (g.row_ptr, g.col_ind, g.col_ptr, g.row_ind):
             arr.flags.writeable = False
         self._snapshot = g

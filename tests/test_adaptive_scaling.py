@@ -38,6 +38,30 @@ class TestAlphaForQuality:
 
 
 class TestScaleForQuality:
+    def test_divergent_sweeps_stop_at_last_finite_sweep(self):
+        # This pattern lacks total support: the sweeps diverge, and the
+        # cold run would sum past the float range before 500 iterations.
+        g = sprand(600, 2.0, seed=2)
+        qs = scale_for_quality(g, 0.5, max_iterations=500)
+        assert not qs.target_met
+        assert 0 < qs.scaling.iterations < 500
+        assert np.isfinite(qs.scaling.dr).all()
+        assert np.isfinite(qs.scaling.dc).all()
+        assert 0.0 < qs.certified_quality < 0.5
+
+    def test_warm_start_scale_is_immaterial(self):
+        """A warm start is centred by a power of two, so a globally
+        rescaled pair gives the same sweeps bit for bit."""
+        g = sprand(400, 3.0, seed=1)
+        start = scale_for_quality(g, 0.3, max_iterations=2).scaling
+        dr, dc = start.dr, start.dc
+        a = scale_for_quality(g, 0.6, initial=(dr, dc))
+        b = scale_for_quality(g, 0.6, initial=(dr * 2.0**300, dc / 2.0**300))
+        assert np.array_equal(a.scaling.dr, b.scaling.dr)
+        assert np.array_equal(a.scaling.dc, b.scaling.dc)
+        assert a.min_column_sum == b.min_column_sum
+        assert a.scaling.iterations == b.scaling.iterations > 0
+
     def test_meets_target_on_total_support(self):
         g = fully_indecomposable(500, 4.0, seed=0)
         qs = scale_for_quality(g, 0.60)

@@ -277,9 +277,43 @@ class TestShmPool:
     def test_read_only_arrays_published_once(self, shm2):
         graph = sprand(400, 3.0, seed=0)
         scale_sinkhorn_knopp(graph, 2, backend=shm2)
-        seg = shm2._segments[id(graph.col_ptr)]
+        rind = graph.col_layout().rind
+        seg = shm2._segments[id(rind)]
+        assert seg.owner is rind  # pinned: the id cannot be recycled
         scale_sinkhorn_knopp(graph, 2, backend=shm2)
-        assert shm2._segments[id(graph.col_ptr)] is seg
+        assert shm2._segments[id(rind)] is seg
+
+    def test_warm_solves_create_no_segments(self, shm2, monkeypatch):
+        """Each solve binds fresh arrays (factors, draws, picks) to the
+        same roles; once warm, they reuse the pool's writable buffers."""
+        import repro.parallel.shm as shm_mod
+
+        graph = sprand(20_000, 4.0, seed=2)
+        for seed in (0, 1):
+            two_sided_match(
+                graph, 5, seed=seed, backend=shm2, engine="parallel"
+            )
+        created = []
+        init = shm_mod._Segment.__init__
+
+        def counting_init(seg, arr):
+            created.append(arr.shape)
+            init(seg, arr)
+
+        monkeypatch.setattr(shm_mod._Segment, "__init__", counting_init)
+        n_segments = len(shm2._segments)
+        for seed in range(2, 22):
+            got = two_sided_match(
+                graph, 5, seed=seed, backend=shm2, engine="parallel"
+            )
+            want = two_sided_match(
+                graph, 5, seed=seed, backend="serial", engine="parallel"
+            )
+            assert np.array_equal(
+                got.matching.row_match, want.matching.row_match
+            )
+        assert created == []
+        assert len(shm2._segments) == n_segments
 
     def test_tasks_carry_no_arrays(self, shm2):
         """The zero-copy regression: a task is a few hundred bytes of
@@ -343,17 +377,20 @@ class TestShmPool:
     def test_segment_cache_eviction(self):
         backend = SharedMemoryBackend(1, max_segments=8)
         try:
-            graph = sprand(300, 3.0, seed=0)
+            # Four graphs publish 12 read-only layout arrays: more than
+            # the cap, so the least recently used ones are unlinked.
             for seed in range(4):
-                rhs = np.random.default_rng(seed).random(graph.nrows)
-                out = np.empty(graph.ncols)
+                graph = sprand(300, 3.0, seed=seed)
+                views = graph.col_layout()._asdict()
+                views["opp"] = np.random.default_rng(seed).random(graph.nrows)
+                out, want = np.empty(graph.ncols), np.empty(graph.ncols)
                 run_kernel(
-                    "sk_sweep", graph.ncols,
-                    {"ptr": graph.col_ptr, "ind": graph.row_ind,
-                     "opp": rhs, "out": out},
+                    "sk_sweep", graph.ncols, {**views, "out": out},
                     backend=backend,
                 )
-            assert len(backend._segments) <= 8
+                run_kernel("sk_sweep", graph.ncols, {**views, "out": want})
+                assert len(backend._segments) <= 8
+                assert np.array_equal(out, want)
         finally:
             backend.close()
 
