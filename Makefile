@@ -44,8 +44,14 @@ stream-smoke:
 	$(PYTHON) -m pytest -m stream -q
 	timeout 300 $(PYTHON) -m repro stream --smoke
 
+# The CI exact-smoke job: the exact-marked tests, then the auction CLI
+# cold and warm-started on a torso1 matrix, under hard timeouts.
 exact-smoke:
 	timeout 480 $(PYTHON) -m pytest -m exact -q
+	dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	$(PYTHON) -m repro generate torso1 --n 2000 --out $$dir/exact-smoke.mtx && \
+	timeout 120 $(PYTHON) -m repro match $$dir/exact-smoke.mtx --method auction --quality && \
+	timeout 120 $(PYTHON) -m repro match $$dir/exact-smoke.mtx --method auction-warm --quality
 
 recovery-smoke:
 	timeout 480 $(PYTHON) -m pytest -m recovery -q

@@ -88,7 +88,7 @@ SIZES = {
     # so the honest ratio hovers around 1x; the cell keeps recovery wall
     # time visible without gating on it.
     "recovery_replay": (20_000, 2_000),
-    # Exact tier: the ε-scaling auction, cold-started and warm-started
+    # Exact tier: the auction, cold-started and warm-started
     # from a TwoSidedMatch heuristic.  Cold is the gated cell (it is the
     # quality ladder's exact rung); warm-vs-cold is an informational
     # ratio — the drain + deficiency certification dominate wall clock
@@ -514,7 +514,7 @@ def run_workloads(smoke: bool, backend_spec: str = "serial") -> dict[str, dict]:
     auction_be = get_backend(backend_spec)
     try:
         def _cold():
-            res = auction_match(g, backend=auction_be, seed=0)
+            res = auction_match(g, backend=auction_be)
             assert res.cardinality == exact_card
             return res
 
@@ -525,8 +525,7 @@ def run_workloads(smoke: bool, backend_spec: str = "serial") -> dict[str, dict]:
 
         def _warm():
             res = auction_match(
-                g, initial=heur, scaling=heur.scaling,
-                backend=auction_be, seed=0,
+                g, initial=heur, scaling=heur.scaling, backend=auction_be
             )
             assert res.cardinality == exact_card
             return res

@@ -155,14 +155,13 @@ def cmd_match(args: argparse.Namespace) -> int:
     elif args.method == "auction":
         from repro.matching import auction_match
 
-        matching = auction_match(g, backend=be, seed=args.seed).matching
+        matching = auction_match(g, backend=be).matching
     elif args.method == "auction-warm":
         from repro.matching import auction_match
 
         heur = two_sided_match(g, args.iterations, seed=args.seed, backend=be)
         matching = auction_match(
-            g, initial=heur, scaling=heur.scaling, backend=be,
-            seed=args.seed,
+            g, initial=heur, scaling=heur.scaling, backend=be
         ).matching
     else:  # pragma: no cover - argparse restricts choices
         raise SystemExit(f"unknown method {args.method}")

@@ -36,9 +36,6 @@ class OneSidedResult:
     #: The column chosen by each row (NIL for empty rows) — the raw
     #: pre-collision choices.
     row_choice: IndexArray
-    #: The auction refinement when ``quality="exact"`` was requested
-    #: (``matching`` is then the refined, provably maximum matching).
-    refined: "object | None" = None
 
     @property
     def cardinality(self) -> int:
@@ -52,11 +49,8 @@ class OneSidedResult:
         support).  ``"capped"`` rung: the Section 3.3 relaxed bound
         ``1 - e^{-α}`` with ``α`` from the achieved column-sum error.
         ``"uniform"`` rung: 0 — the matching is still valid, but nothing
-        is guaranteed about its size.  After an exact refinement the
-        floor is 1 — the matching is maximum, full stop.
+        is guaranteed about its size.
         """
-        if self.refined is not None:
-            return 1.0
         return _rung_guarantee(self.scaling, ONE_SIDED_GUARANTEE)
 
 
@@ -95,7 +89,6 @@ def one_sided_match(
     backend: Backend | str | None = None,
     side: str = "row",
     deadline: float | None = None,
-    quality: str = "heuristic",
 ) -> OneSidedResult:
     """Run OneSidedMatch on *graph*.
 
@@ -125,12 +118,6 @@ def one_sided_match(
         :class:`~repro.errors.DeadlineExceededError` on exhaustion).
         With other backends the budget is advisory.  Nested inside an
         ambient budget the tighter one wins.
-    quality:
-        ``"heuristic"`` (default) returns the paper's expected-quality
-        matching as-is; ``"exact"`` refines it to a provably maximum
-        matching with the ε-scaling auction (warm-started from the
-        heuristic result and its scaling duals), raising the guarantee
-        to 1 at the cost of exact-engine latency.
 
     Returns
     -------
@@ -140,10 +127,6 @@ def one_sided_match(
     """
     from repro.resilience.deadline import request_deadline
 
-    if quality not in ("heuristic", "exact"):
-        raise ValueError(
-            f"quality must be 'heuristic' or 'exact', got {quality!r}"
-        )
     be = get_backend(backend)
     rng = rng_from(seed)
     with request_deadline(deadline), _tm.span(
@@ -184,18 +167,8 @@ def one_sided_match(
                 collisions=collisions,
                 rung=scaling.rung,
             )
-        refined = None
-        if quality == "exact":
-            from repro.matching.exact.auction import auction_match
-
-            refined = auction_match(
-                graph, initial=matching, scaling=scaling, backend=be,
-                seed=rng,
-            )
-            matching = refined.matching
     return OneSidedResult(
         matching=matching,
         scaling=scaling,
         row_choice=row_choice,
-        refined=refined,
     )

@@ -123,8 +123,8 @@ def two_sided_match(
     quality:
         ``"heuristic"`` (default) returns the choice-subgraph matching
         as-is; ``"exact"`` refines it to a provably maximum matching of
-        the *full* graph with the ε-scaling auction (warm-started from
-        the heuristic result and its scaling duals).
+        the *full* graph with the auction (warm-started from the
+        heuristic result and its scaling duals).
 
     Returns
     -------
@@ -201,8 +201,7 @@ def two_sided_match(
             from repro.matching.exact.auction import auction_match
 
             refined = auction_match(
-                graph, initial=matching, scaling=scaling, backend=be,
-                seed=rng,
+                graph, initial=matching, scaling=scaling, backend=be
             )
             matching = refined.matching
 

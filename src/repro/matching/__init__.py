@@ -3,7 +3,7 @@
 from repro.matching.matching import Matching, NIL
 from repro.matching.exact.hopcroft_karp import hopcroft_karp
 from repro.matching.exact.mc21 import mc21
-from repro.matching.exact.auction import AuctionResult, auction_match, regularity_probe
+from repro.matching.exact.auction import AuctionResult, auction_match
 from repro.matching.exact.push_relabel import push_relabel
 from repro.matching.exact.sprank import sprank
 from repro.matching.heuristics.greedy import (
@@ -18,7 +18,6 @@ from repro.matching.heuristics.karp_sipser_plus import karp_sipser_plus, KarpSip
 __all__ = [
     "AuctionResult",
     "auction_match",
-    "regularity_probe",
     "Matching",
     "NIL",
     "hopcroft_karp",

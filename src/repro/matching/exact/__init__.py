@@ -1,6 +1,6 @@
 """Exact maximum-cardinality bipartite matching algorithms."""
 
-from repro.matching.exact.auction import AuctionResult, auction_match, regularity_probe
+from repro.matching.exact.auction import AuctionResult, auction_match
 from repro.matching.exact.hopcroft_karp import hopcroft_karp
 from repro.matching.exact.mc21 import mc21
 from repro.matching.exact.push_relabel import push_relabel
@@ -12,6 +12,5 @@ __all__ = [
     "hopcroft_karp",
     "mc21",
     "push_relabel",
-    "regularity_probe",
     "sprank",
 ]

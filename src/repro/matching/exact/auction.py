@@ -1,4 +1,4 @@
-"""ε-scaling auction engine for maximum-cardinality bipartite matching.
+"""Auction engine for maximum-cardinality bipartite matching.
 
 The quality ladder's heuristics (greedy → one_sided → two_sided) certify
 floors below 1; this engine is the exact top rung.  It runs the auction
@@ -7,8 +7,13 @@ in the synchronous/Jacobi form Naparstek–Leshem (arXiv:1401.0119) analyse
 for shared-memory parallelism: every free row computes its bid in the
 same round over a snapshot of the column prices, and the commits happen
 once per round with a deterministic tie-break.  The bid sweep is a
-registered kernel (``auction_bid``), so serial, thread, process, and
-shared-memory backends produce bitwise-identical matchings and prices.
+registered kernel (``auction_bid``), so serial, thread and shared-memory
+backends produce bitwise-identical matchings and prices.
+
+Bidding runs one phase at the fixed increment ``ε = EPS = 1``.  For the
+cardinality objective every edge is worth the same, so a finer ε (or an
+ε-scaling schedule ending in one) buys tighter prices but not a larger
+matching.
 
 How exactness is certified
 --------------------------
@@ -16,9 +21,8 @@ How exactness is certified
 All edge values are equal (we only count cardinality), so a matched pair
 ``(i, j)`` satisfies *ε-complementary slackness* when
 
-    ``p[j] <= min_{k ∈ N(i)} p[k] + ε_f``
+    ``p[j] <= min_{k ∈ N(i)} p[k] + ε``
 
-where ``ε_f <= eps_start`` is the phase ε at the round the pair formed
 (prices of matched columns change only when the pair re-forms, so the
 inequality persists).  Bids are ``second_cheapest_alive + ε``, which is
 bounded by ``dead_level + ε``, so the inequality extends over *dead*
@@ -28,14 +32,14 @@ A free row is *abandoned* (certified unmatchable) only when every
 neighbour's price is at or above the round's ``dead_level``, which is the
 minimum of two certificates:
 
-* **cap** — ``min(n, m)·eps_start + max(p0) + eps_start``.  An augmenting
-  path alternates matched pairs, and ε-CS lets the column prices along it
-  drop by at most ``eps_start`` per pair; a path from a column priced at
-  the cap would need more than ``min(n, m)`` pairs to reach a free column
-  (free columns never accept a bid, so they keep their initial price
+* **cap** — ``min(n, m)·ε + max(p0) + ε``.  An augmenting path
+  alternates matched pairs, and ε-CS lets the column prices along it
+  drop by at most ``ε`` per pair; a path from a column priced at the cap
+  would need more than ``min(n, m)`` pairs to reach a free column (free
+  columns never accept a bid, so they keep their initial price
   ``≤ max(p0)``) — longer than any simple alternating path.
-* **gap/band** — if some price band of width ``> eps_start`` is empty and
-  every *free* column sits below it, the same descent argument shows no
+* **gap/band** — if some price band of width ``> ε`` is empty and every
+  *free* column sits below it, the same descent argument shows no
   augmenting path crosses the band: every column priced above it is dead.
   This is the auction analogue of push–relabel's gap heuristic and is
   what keeps deficient instances (where some rows genuinely cannot be
@@ -47,12 +51,6 @@ remain valid at termination.  Rounds terminate because every active free
 row either bids (raising some column's price by ≥ ε when accepted) or is
 abandoned, and prices are bounded by the cap.
 
-ε-scaling runs the same loop over a decreasing schedule
-``eps_start / eps_factor^k ≥ eps_min``; coarse phases are round-budgeted
-and the final phase runs to quiescence.  For pure cardinality the
-schedule does not change the answer — it tightens the final prices,
-which matters when they warm-start the next streaming epoch.
-
 Warm starts
 -----------
 
@@ -61,19 +59,8 @@ result object carrying one (``two_sided_match`` results, stream epochs);
 ``prices`` accepts a previous epoch's price vector and ``scaling``
 derives dual-like prices from Sinkhorn–Knopp factors
 (:func:`~repro.scaling.duals.dual_prices`).  Warm pairs that violate
-ε-CS at ``eps_start`` are dissolved (the rows re-enter the auction), so
-every invariant above holds regardless of where the start came from.
-
-Sampling fast path
-------------------
-
-On perfectly d-regular square instances (detected by a cheap probe) a
-cold start can skip the auction entirely: Goel–Kapralov–Khanna
-(arXiv:0909.3346) show truncated random-walk augmentation finds a
-perfect matching in ``O(n log n)`` expected steps.  The walk runs
-serially in the parent from the caller's seed (deterministic across
-backends); if its step budget runs out the partial matching warm-starts
-the general auction instead.
+ε-CS are dissolved (the rows re-enter the auction), so every invariant
+above holds regardless of where the start came from.
 """
 
 from __future__ import annotations
@@ -93,7 +80,12 @@ from repro.parallel.kernels import AUCTION_DROP, run_kernel
 from repro.parallel.reduction import gather_segments
 from repro.resilience.deadline import request_deadline
 
-__all__ = ["AuctionResult", "auction_match", "regularity_probe"]
+__all__ = ["EPS", "AuctionResult", "auction_match"]
+
+#: The bid increment.  One phase at this ε returns the maximum
+#: cardinality; it also sets the price clip, the abandonment cap and
+#: the band width of the dead-level certificate.
+EPS: float = 1.0
 
 #: Relative slack when comparing float price gaps against ε thresholds —
 #: certificates must only fire on gaps *strictly* wider than ε.
@@ -112,19 +104,12 @@ class AuctionResult:
         Final column prices — ε-CS duals, reusable as the ``prices``
         warm start of a later call (e.g. the next streaming epoch).
     rounds:
-        Total synchronous bidding rounds across all phases.
-    phases:
-        Number of ε-schedule phases executed.
-    eps_final:
-        The ε of the last phase.
+        Synchronous (kernel) bidding rounds.
     abandoned:
         Rows certified unmatchable by the gap/cap argument (equals
         ``nrows - cardinality`` for square-deficient instances).
     dissolved:
         Warm-start pairs dropped to restore ε-complementary slackness.
-    mode:
-        ``"auction"``, ``"sampling"`` (GKK walk finished alone), or
-        ``"sampling+auction"`` (walk budget ran out, auction finished).
     warm_started:
         True when an initial matching and/or prices were supplied.
     cardinality_trace:
@@ -136,11 +121,8 @@ class AuctionResult:
     matching: Matching
     prices: FloatArray
     rounds: int
-    phases: int
-    eps_final: float
     abandoned: int
     dissolved: int
-    mode: str
     warm_started: bool
     cardinality_trace: tuple[int, ...]
 
@@ -152,27 +134,6 @@ class AuctionResult:
     def guarantee(self) -> float:
         """Exact tier: the matching is maximum, quality 1.0 by construction."""
         return 1.0
-
-
-def regularity_probe(graph: BipartiteGraph) -> int:
-    """Common degree ``d ≥ 1`` if *graph* is square and d-regular, else 0.
-
-    This is the (cheap, O(n)) gate for the Goel–Kapralov–Khanna sampling
-    fast path: regular square bipartite graphs have a perfect matching
-    (König), which the truncated-walk analysis assumes.
-    """
-    if graph.nrows != graph.ncols or graph.nrows == 0:
-        return 0
-    rd = graph.row_degrees()
-    d = int(rd[0])
-    if d < 1:
-        return 0
-    if not (rd == d).all():
-        return 0
-    cd = graph.col_degrees()
-    if not (cd == d).all():
-        return 0
-    return d
 
 
 def _coerce_initial(initial: object, graph: BipartiteGraph) -> Matching | None:
@@ -187,19 +148,6 @@ def _coerce_initial(initial: object, graph: BipartiteGraph) -> Matching | None:
         )
     m.validate(graph)
     return m
-
-
-def _eps_schedule(eps_start: float, eps_min: float, eps_factor: float) -> list[float]:
-    if eps_start <= 0 or eps_min <= 0 or eps_min > eps_start * (1 + _GAP_SLACK):
-        raise ValidationError(
-            f"need 0 < eps_min <= eps_start, got {eps_min}/{eps_start}"
-        )
-    if eps_factor <= 1:
-        raise ValidationError(f"eps_factor must exceed 1, got {eps_factor}")
-    sched = [float(eps_start)]
-    while sched[-1] / eps_factor >= eps_min * (1 - _GAP_SLACK):
-        sched.append(sched[-1] / eps_factor)
-    return sched
 
 
 def _row_min_prices(graph: BipartiteGraph, prices: FloatArray) -> FloatArray:
@@ -222,9 +170,8 @@ def _enforce_eps_cs(
     row_match: IndexArray,
     col_match: IndexArray,
     prices: FloatArray,
-    eps_start: float,
 ) -> int:
-    """Dissolve warm pairs violating ε-CS at ``eps_start``; return count.
+    """Dissolve warm pairs violating ε-CS; return count.
 
     Dissolving (rather than repairing prices) keeps prices monotone and
     is always safe: the freed rows simply rejoin the auction.
@@ -235,7 +182,7 @@ def _enforce_eps_cs(
     minp = _row_min_prices(graph, prices)
     bad = matched[
         prices[row_match[matched]]
-        > minp[matched] + eps_start * (1 + _GAP_SLACK)
+        > minp[matched] + EPS * (1 + _GAP_SLACK)
     ]
     if bad.size:
         col_match[row_match[bad]] = NIL
@@ -243,13 +190,11 @@ def _enforce_eps_cs(
     return int(bad.size)
 
 
-def _dead_level(
-    prices: FloatArray, free_cols: np.ndarray, eps_start: float, cap: float
-) -> float:
+def _dead_level(prices: FloatArray, free_cols: np.ndarray, cap: float) -> float:
     """The price at/above which a column is certifiably dead this round.
 
     Returns ``min(band_top, cap)`` where *band_top* is the lowest price
-    strictly above an empty band of width > ``eps_start`` that itself
+    strictly above an empty band of width > ``EPS`` that itself
     lies at or above every free column's price (see module docstring).
     """
     band_top = cap
@@ -257,60 +202,10 @@ def _dead_level(
     q = np.unique(prices)
     q = q[q >= base]
     if q.shape[0] >= 2:
-        gaps = np.flatnonzero(np.diff(q) > eps_start * (1 + _GAP_SLACK))
+        gaps = np.flatnonzero(np.diff(q) > EPS * (1 + _GAP_SLACK))
         if gaps.size:
             band_top = min(band_top, float(q[gaps[0] + 1]))
     return band_top
-
-
-def _gkk_sample(
-    graph: BipartiteGraph,
-    rng: np.random.Generator,
-    row_match: IndexArray,
-    col_match: IndexArray,
-    budget: int,
-) -> bool:
-    """Truncated random-walk augmentation (GKK); True if matching is perfect.
-
-    Walks run from free rows and flip matched edges *as they go*: a step
-    from row ``v`` to a matched column ``u`` with mate ``w`` immediately
-    rematches ``u`` to ``v`` and continues from the now-free ``w`` — so
-    the matching stays valid at every step and its cardinality rises
-    exactly when the walk reaches a free column.  A truncated walk merely
-    relocates which row is free; it is retried with fresh randomness.
-    Truncation is ``2·(2 + n/(n - j))`` steps, *j* being the current
-    matched count (the Goel–Kapralov–Khanna schedule).  Stops when the
-    matching is perfect or *budget* total steps are spent (the caller
-    then falls back to the auction, warm-started from the partial
-    matching).
-    """
-    n = graph.nrows
-    row_ptr, col_ind = graph.row_ptr, graph.col_ind
-    matched = int((row_match != NIL).sum())
-    steps = 0
-    while matched < n and steps < budget:
-        free = np.flatnonzero(row_match == NIL)
-        for start in free:
-            if steps >= budget:
-                break
-            while row_match[start] == NIL and steps < budget:
-                trunc = 2.0 * (2.0 + n / max(1, n - matched))
-                v = start
-                walked = 0
-                while walked < trunc and steps < budget:
-                    lo, hi = row_ptr[v], row_ptr[v + 1]
-                    u = col_ind[lo + rng.integers(hi - lo)]
-                    steps += 1
-                    walked += 1
-                    w = col_match[u]
-                    col_match[u] = v
-                    row_match[v] = u
-                    if w == NIL:
-                        matched += 1
-                        break
-                    row_match[w] = NIL
-                    v = w
-    return matched >= n
 
 
 def _gauss_seidel_drain(
@@ -320,8 +215,6 @@ def _gauss_seidel_drain(
     col_match: IndexArray,
     active: np.ndarray,
     queue: IndexArray,
-    eps: float,
-    eps_start: float,
     cap: float,
     dl: object,
     trace: list[int],
@@ -343,9 +236,9 @@ def _gauss_seidel_drain(
 
     The band certificate is kept *always fresh* at O(1) amortised cost
     by maintaining a histogram of column prices in bins of width
-    ``eps_start/2``: a run of three empty bins above every free column
-    is an empty price interval of width ``1.5·eps_start > eps_start``,
-    so everything priced above the run is certifiably dead.  (Bin
+    ``EPS/2``: a run of three empty bins above every free column is an
+    empty price interval of width ``1.5·EPS > EPS``, so everything
+    priced above the run is certifiably dead.  (Bin
     occupancy moves with each accepted bid; the run scan touches only
     the occupied prefix of the histogram.)  The exclusion level used for
     *bidding* may be arbitrarily stale — the ε-CS bound only needs
@@ -364,8 +257,8 @@ def _gauss_seidel_drain(
     pops = 0
     guard = 400 * (graph.nrows + graph.ncols + 1)
 
-    # Histogram of column prices in eps_start/2-wide bins.
-    h = eps_start / 2.0
+    # Histogram of column prices in EPS/2-wide bins.
+    h = EPS / 2.0
     nbins = int(cap / h) + 8
     bins = np.zeros(nbins, dtype=np.int64)
     idx = np.minimum((p / h).astype(np.int64), nbins - 1)
@@ -437,7 +330,7 @@ def _gauss_seidel_drain(
             else:
                 q.appendleft(i)
             continue
-        bid = (second if second < inf else best) + eps
+        bid = (second if second < inf else best) + EPS
         w = cm_l[bj]
         cm_l[bj] = i
         rm_l[i] = bid_col = bj
@@ -472,17 +365,11 @@ def auction_match(
     initial: object | None = None,
     prices: FloatArray | None = None,
     scaling: object | None = None,
-    eps_start: float = 1.0,
-    eps_min: float = 1.0,
-    eps_factor: float = 4.0,
     backend: Backend | str | None = None,
-    sampling: str = "auto",
-    seed: object = None,
     deadline: object = None,
-    max_rounds: int | None = None,
     gs_tail: int | None = None,
 ) -> AuctionResult:
-    """Maximum-cardinality matching by ε-scaling auction.
+    """Maximum-cardinality matching by auction.
 
     Parameters
     ----------
@@ -495,46 +382,29 @@ def auction_match(
         survive, so a good heuristic start skips most bidding rounds.
     prices:
         Warm-start column prices (length ``ncols``); clipped into
-        ``[0, min(n, m)·eps_start]`` so repeated warm starts (streaming
+        ``[0, min(n, m)·EPS]`` so repeated warm starts (streaming
         epochs) keep the abandonment cap bounded.
     scaling:
         A :class:`~repro.scaling.result.ScalingResult` (or raw ``dc``
         factors) used to derive dual-like initial prices when *prices*
         is not given — see :func:`~repro.scaling.duals.dual_prices`.
-    eps_start / eps_min / eps_factor:
-        The ε-scaling schedule ``eps_start / eps_factor^k ≥ eps_min``.
-        Cardinality is exact under any valid schedule; smaller final ε
-        yields tighter dual prices but slower price climbs, so the
-        default is the single-phase ``[eps_start]`` schedule (for the
-        cardinality objective the fine phases buy nothing).
     backend:
         Execution backend (or spec string) for the bid kernel; results
         are bitwise identical across backends.
-    sampling:
-        ``"auto"`` enables the GKK random-walk fast path on cold starts
-        of regular square graphs; ``"never"`` disables it.
-    seed:
-        Randomness for the sampling path only (the auction itself is
-        deterministic).
     deadline:
         Optional wall-clock budget (seconds or a ``Deadline``); checked
         once per round, raising ``DeadlineExceededError``.
-    max_rounds:
-        Safety valve on total rounds (default scales with the graph);
-        exceeding it raises :class:`~repro.errors.MatchingError`.
     gs_tail:
-        Free-row count at or below which the final phase switches from
-        kernel (Jacobi) rounds to the sequential Gauss–Seidel drain —
-        see :func:`_gauss_seidel_drain`.  Defaults to
+        Free-row count at or below which bidding switches from kernel
+        (Jacobi) rounds to the sequential Gauss–Seidel drain — see
+        :func:`_gauss_seidel_drain`.  Defaults to
         ``max(256, nrows // 32)``; pass ``0`` to force pure kernel
         rounds (useful for backend-equivalence tests).
+
+    Raises :class:`~repro.errors.MatchingError` if the rounds exceed the
+    safety valve ``200 + 50·min(n, m)``.
     """
-    if sampling not in ("auto", "never"):
-        raise ValidationError(
-            f'sampling must be "auto" or "never", got {sampling!r}'
-        )
     nrows, ncols = graph.nrows, graph.ncols
-    schedule = _eps_schedule(eps_start, eps_min, eps_factor)
     init = _coerce_initial(initial, graph)
     warm = init is not None or prices is not None
 
@@ -545,7 +415,7 @@ def auction_match(
         row_match = np.full(nrows, NIL, dtype=np.int64)
         col_match = np.full(ncols, NIL, dtype=np.int64)
 
-    price_clip = min(nrows, ncols) * eps_start
+    price_clip = min(nrows, ncols) * EPS
     if prices is not None:
         p = np.ascontiguousarray(prices, dtype=np.float64).copy()
         if p.shape != (ncols,):
@@ -558,7 +428,7 @@ def auction_match(
     elif scaling is not None:
         from repro.scaling.duals import dual_prices
 
-        p = dual_prices(scaling, eps=eps_start)
+        p = dual_prices(scaling)
         if p.shape != (ncols,):
             raise ValidationError(
                 f"scaling factors imply {p.shape[0]} columns, graph has {ncols}"
@@ -567,22 +437,11 @@ def auction_match(
     else:
         p = np.zeros(ncols, dtype=np.float64)
 
-    dissolved = _enforce_eps_cs(graph, row_match, col_match, p, eps_start)
-
-    mode = "auction"
-    rng = np.random.default_rng(seed)
-    if sampling == "auto" and not warm and graph.nnz:
-        d = regularity_probe(graph)
-        if d:
-            budget = int(40 * nrows * (np.log(nrows + 2.0) + 1.0))
-            perfect = _gkk_sample(graph, rng, row_match, col_match, budget)
-            mode = "sampling" if perfect else "sampling+auction"
-            _tm.incr("auction.sampling_runs")
+    dissolved = _enforce_eps_cs(graph, row_match, col_match, p)
 
     max_p0 = float(p.max()) if ncols else 0.0
-    cap = min(nrows, ncols) * eps_start + max_p0 + eps_start
-    if max_rounds is None:
-        max_rounds = 200 + 50 * min(nrows, ncols)
+    cap = min(nrows, ncols) * EPS + max_p0 + EPS
+    max_rounds = 200 + 50 * min(nrows, ncols)
     if gs_tail is None:
         gs_tail = max(256, nrows // 32)
 
@@ -593,92 +452,77 @@ def auction_match(
 
     row_ptr, col_ind = graph.row_ptr, graph.col_ind
     rounds = 0
-    phases = 0
     trace: list[int] = []
-    # Coarse phases get a round budget; the final phase runs to quiescence.
-    phase_budget = max(4, int(2 * np.log2(nrows + 2)) + 4)
 
     with request_deadline(deadline) as dl, _tm.span(
-        "auction.match", nrows=nrows, ncols=ncols, mode=mode
+        "auction.match", nrows=nrows, ncols=ncols
     ):
-        for phase_idx, eps in enumerate(schedule):
-            final = phase_idx == len(schedule) - 1
-            phase_rounds = 0
-            phases += 1
-            while True:
-                if not final and phase_rounds >= phase_budget:
-                    break
-                free_rows = np.flatnonzero(active & (row_match == NIL))
-                if free_rows.size == 0:
-                    break
-                if free_rows.size <= gs_tail:
-                    if not final:
-                        # Too little bulk left for a coarse phase —
-                        # fall through to the final ε immediately.
-                        break
-                    matched, ab = _gauss_seidel_drain(
-                        graph, p, row_match, col_match, active, free_rows,
-                        eps, eps_start, cap, dl, trace,
-                        int((row_match != NIL).sum()),
-                    )
-                    abandoned += ab
-                    break
-                free_cols = col_match == NIL
-                if not free_cols.any():
-                    # Every column is matched: the matching is maximum.
-                    abandoned += int(free_rows.size)
-                    active[free_rows] = False
-                    break
-                if dl is not None:
-                    dl.ensure("auction match")
-                if rounds >= max_rounds:
-                    raise MatchingError(
-                        f"auction failed to settle within {max_rounds} rounds"
-                    )
-                dead = _dead_level(p, free_cols, eps_start, cap)
-                sub_ind, sub_ptr = gather_segments(row_ptr, col_ind, free_rows)
-                bid_col = np.empty(free_rows.size, dtype=np.int64)
-                bid_val = np.empty(free_rows.size, dtype=np.float64)
-                run_kernel(
-                    "auction_bid",
-                    free_rows.size,
-                    {
-                        "ptr": sub_ptr,
-                        "ind": sub_ind,
-                        "prices": p,
-                        "bid_col": bid_col,
-                        "bid_val": bid_val,
-                    },
-                    backend=backend,
-                    scalars={"eps": eps, "dead": dead},
+        while True:
+            free_rows = np.flatnonzero(active & (row_match == NIL))
+            if free_rows.size == 0:
+                break
+            if free_rows.size <= gs_tail:
+                matched, ab = _gauss_seidel_drain(
+                    graph, p, row_match, col_match, active, free_rows,
+                    cap, dl, trace, int((row_match != NIL).sum()),
                 )
-                drop = bid_col == AUCTION_DROP
-                if drop.any():
-                    active[free_rows[drop]] = False
-                    abandoned += int(drop.sum())
-                bidders = ~drop
-                if bidders.any():
-                    rows_b = free_rows[bidders]
-                    cols_b = bid_col[bidders]
-                    vals_b = bid_val[bidders]
-                    # Highest bid wins each column; ties go to the lowest
-                    # row index — the deterministic commit.
-                    order = np.lexsort((rows_b, -vals_b, cols_b))
-                    cs = cols_b[order]
-                    first = np.ones(cs.size, dtype=bool)
-                    first[1:] = cs[1:] != cs[:-1]
-                    win = order[first]
-                    wrows, wcols = rows_b[win], cols_b[win]
-                    displaced = col_match[wcols]
-                    displaced = displaced[displaced != NIL]
-                    row_match[displaced] = NIL
-                    col_match[wcols] = wrows
-                    row_match[wrows] = wcols
-                    p[wcols] = vals_b[win]
-                    _tm.incr("auction.bids", int(rows_b.size))
-                rounds += 1
-                phase_rounds += 1
-                trace.append(int((row_match != NIL).sum()))
+                abandoned += ab
+                break
+            free_cols = col_match == NIL
+            if not free_cols.any():
+                # Every column is matched: the matching is maximum.
+                abandoned += int(free_rows.size)
+                active[free_rows] = False
+                break
+            if dl is not None:
+                dl.ensure("auction match")
+            if rounds >= max_rounds:
+                raise MatchingError(
+                    f"auction failed to settle within {max_rounds} rounds"
+                )
+            dead = _dead_level(p, free_cols, cap)
+            sub_ind, sub_ptr = gather_segments(row_ptr, col_ind, free_rows)
+            bid_col = np.empty(free_rows.size, dtype=np.int64)
+            bid_val = np.empty(free_rows.size, dtype=np.float64)
+            run_kernel(
+                "auction_bid",
+                free_rows.size,
+                {
+                    "ptr": sub_ptr,
+                    "ind": sub_ind,
+                    "prices": p,
+                    "bid_col": bid_col,
+                    "bid_val": bid_val,
+                },
+                backend=backend,
+                scalars={"eps": EPS, "dead": dead},
+            )
+            drop = bid_col == AUCTION_DROP
+            if drop.any():
+                active[free_rows[drop]] = False
+                abandoned += int(drop.sum())
+            bidders = ~drop
+            if bidders.any():
+                rows_b = free_rows[bidders]
+                cols_b = bid_col[bidders]
+                vals_b = bid_val[bidders]
+                # Highest bid wins each column; ties go to the lowest
+                # row index — the deterministic commit.
+                order = np.lexsort((rows_b, -vals_b, cols_b))
+                cs = cols_b[order]
+                first = np.ones(cs.size, dtype=bool)
+                first[1:] = cs[1:] != cs[:-1]
+                win = order[first]
+                wrows, wcols = rows_b[win], cols_b[win]
+                displaced = col_match[wcols]
+                displaced = displaced[displaced != NIL]
+                row_match[displaced] = NIL
+                col_match[wcols] = wrows
+                row_match[wrows] = wcols
+                p[wcols] = vals_b[win]
+                _tm.incr("auction.bids", int(rows_b.size))
+            rounds += 1
+            trace.append(int((row_match != NIL).sum()))
 
     matching = Matching(row_match, col_match)
     matching.validate(graph)
@@ -689,11 +533,8 @@ def auction_match(
         matching=matching,
         prices=p,
         rounds=rounds,
-        phases=phases,
-        eps_final=schedule[-1],
         abandoned=abandoned,
         dissolved=dissolved,
-        mode=mode,
         warm_started=warm,
         cardinality_trace=tuple(trace),
     )

@@ -28,7 +28,8 @@ the plan's total hits, in every detail:
     validates and reaches Theorem 1's ``1 − 1/e`` floor minus
     *quality_eps*.
 ``exact`` (``storm``)
-    The ε-scaling auction; the matching validates and has the no-fault
+    The auction, on kernel rounds only (``gs_tail=0``), so every round
+    reaches the backend; the matching validates and has the no-fault
     maximum cardinality — the exact tier may fail typed, never return
     less.
 ``serve`` (``storm``)
@@ -721,9 +722,11 @@ def run_chaos(
 
     def exact(spec: str, schedule: str, plan: FaultPlan) -> str:
         with resilient(spec) as backend, injected_faults(plan):
-            result = auction_match(
-                support_graph, backend=backend, sampling="never"
-            )
+            # gs_tail=0 keeps every round on the bid kernel: the default
+            # tail drains up to 256 free rows serially in the parent,
+            # which at chaos sizes is all of them and never reaches the
+            # backend.
+            result = auction_match(support_graph, backend=backend, gs_tail=0)
         result.matching.validate(support_graph)
         if result.cardinality != exact_reference:
             raise AssertionError(

@@ -13,9 +13,9 @@ discovery the heuristic scaling already performed.
 This is a heuristic accelerator only: the auction's exactness argument
 (see ``matching/exact/auction.py``) is independent of the initial prices
 as long as they are finite and non-negative, which this function
-guarantees.  Prices are normalised into ``[0, span]`` with
-``span = spread · eps`` so the abandonment cap stays proportional to the
-ε-schedule.
+guarantees.  Prices are normalised into ``[0, SPREAD]``, a few bid
+increments wide (the auction bids in steps of ``ε = 1``), so the
+abandonment cap stays close to its cold value.
 """
 
 from __future__ import annotations
@@ -28,17 +28,12 @@ from repro.scaling.result import ScalingResult
 
 __all__ = ["dual_prices"]
 
-#: Default width of the initial price range, in units of ``eps``.
-DEFAULT_SPREAD: float = 4.0
+#: Width of the initial price range: four of the auction's unit bids.
+SPREAD: float = 4.0
 
 
-def dual_prices(
-    scaling: ScalingResult | FloatArray,
-    *,
-    eps: float = 1.0,
-    spread: float = DEFAULT_SPREAD,
-) -> FloatArray:
-    """Column prices in ``[0, spread·eps]`` from scaling factors.
+def dual_prices(scaling: ScalingResult | FloatArray) -> FloatArray:
+    """Column prices in ``[0, SPREAD]`` from scaling factors.
 
     *scaling* is a :class:`~repro.scaling.result.ScalingResult` (its
     ``dc`` vector is used) or a raw positive column-factor array.  The
@@ -53,15 +48,11 @@ def dual_prices(
     )
     if dc.ndim != 1:
         raise ShapeError(f"column factors must be 1-D, got shape {dc.shape}")
-    if eps <= 0 or spread < 0:
-        raise ShapeError(
-            f"eps must be positive and spread non-negative, got {eps}/{spread}"
-        )
     if dc.shape[0] == 0:
         return np.zeros(0, dtype=np.float64)
     u = -np.log(np.maximum(dc, np.finfo(np.float64).tiny))
     u = u - u.min()
     top = u.max()
     if top > 0:
-        u *= (spread * eps) / top
+        u *= SPREAD / top
     return u

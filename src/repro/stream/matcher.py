@@ -23,8 +23,7 @@ all of that work is redundant; this matcher reuses it:
    reruns is again a maximum matching of the whole choice subgraph;
 4. **optional exact top-up** — warm-start Hopcroft–Karp from the
    repaired matching on the full graph (``topup=True``), or the
-   ε-scaling auction with price state carried across epochs
-   (``exact=True``).
+   auction with price state carried across epochs (``exact=True``).
 
 The declared guarantee is re-certified from the warm rescale, not
 assumed: ``target_quality`` when the rescale still certifies it,
@@ -167,12 +166,12 @@ class StreamMatcher:
         and the certificate is a floor on what the heuristic alone
         would have delivered.
     exact:
-        When true, finish every rematch with the ε-scaling auction
-        instead (see :func:`~repro.matching.exact.auction_match`),
-        warm-started from the repaired matching *and* the previous
-        epoch's auction prices (padded and re-clipped as the graph
-        grows).  Like ``topup`` the result is a true maximum matching;
-        unlike it the exact engine's dual state survives across epochs.
+        When true, finish every rematch with the auction instead
+        (see :func:`~repro.matching.exact.auction_match`), warm-started
+        from the repaired matching *and* the previous epoch's auction
+        prices (padded and re-clipped as the graph grows).  Like
+        ``topup`` the result is a true maximum matching; unlike it the
+        exact engine's dual state survives across epochs.
         ``exact`` supersedes ``topup`` when both are set.
     max_sweeps:
         Sinkhorn–Knopp budget per rematch (cold or warm).
@@ -397,7 +396,6 @@ class StreamMatcher:
                 initial=matching,
                 prices=prices,
                 backend=self._backend,
-                seed=self._rng,
             )
             matching = exact_result.matching
             self._prices = exact_result.prices

@@ -1,19 +1,21 @@
-"""Property-based tests for the ε-scaling auction engine.
+"""Property-based tests for the auction engine.
 
-Three invariants, each checked over Hypothesis-generated graphs and
-ε-schedules:
+Four invariants, each checked over Hypothesis-generated graphs and
+execution schedules (``gs_tail``: pure kernel rounds, the sequential
+Gauss–Seidel drain, or kernel rounds handing over to the drain):
 
 * **ε-complementary slackness** — every matched row holds a column whose
-  final price is within ``eps_start`` of the cheapest price in the row's
+  final price is within ``EPS`` of the cheapest price in the row's
   neighborhood.  This is the invariant that makes the abandonment
   certificates sound, so it must hold for the *returned* prices, not
   just transiently during bidding.
-* **Termination** — the auction halts under any valid ε-schedule
-  (including degenerate single-phase and steeply-decaying ones) and
-  always reports the maximum cardinality.
+* **Termination** — the auction halts under every schedule and always
+  reports the maximum cardinality.
 * **Monotone trace** — ``cardinality_trace`` never decreases: columns
   never unmatch, a displaced row's column is re-matched within the same
   commit.
+* **Warm starts** — restarting from a run's own matching and prices
+  keeps all of the above.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from hypothesis import strategies as st
 
 from repro.graph import from_dense
 from repro.matching import auction_match, hopcroft_karp
+from repro.matching.exact.auction import EPS
 from repro.matching.matching import NIL
 
 pytestmark = pytest.mark.exact
@@ -41,17 +44,13 @@ def random_graphs(draw):
     return from_dense(dense)
 
 
-@st.composite
-def eps_schedules(draw):
-    eps_start = draw(st.floats(0.1, 4.0))
-    # eps_min in (0, eps_start]: 1 → single phase, small → many phases.
-    divisor = draw(st.sampled_from([1.0, 2.0, 5.0, 16.0, 64.0]))
-    eps_factor = draw(st.sampled_from([2.0, 4.0, 10.0]))
-    return eps_start, eps_start / divisor, eps_factor
+#: ``gs_tail`` values: 0 → kernel rounds only, None → the default (the
+#: drain takes every free row at these sizes), small → a hand-over.
+schedules = st.sampled_from([None, 0, 1, 4])
 
 
-def _assert_eps_cs(graph, result, eps_start):
-    """Matched (i, j): p[j] ≤ min_{k ∈ N(i)} p[k] + eps_start."""
+def _assert_eps_cs(graph, result):
+    """Matched (i, j): p[j] ≤ min_{k ∈ N(i)} p[k] + EPS."""
     p = result.prices
     rm = result.matching.row_match
     ptr, ind = graph.row_ptr, graph.col_ind
@@ -60,7 +59,7 @@ def _assert_eps_cs(graph, result, eps_start):
         if j == NIL:
             continue
         neigh = ind[ptr[i]:ptr[i + 1]]
-        assert p[j] <= p[neigh].min() + eps_start * (1 + 1e-9), (
+        assert p[j] <= p[neigh].min() + EPS * (1 + 1e-9), (
             i,
             j,
             p[j],
@@ -68,61 +67,45 @@ def _assert_eps_cs(graph, result, eps_start):
         )
 
 
-@given(random_graphs(), eps_schedules())
+@given(random_graphs(), schedules)
 @settings(max_examples=120, deadline=None)
-def test_eps_cs_holds_for_final_prices(g, sched):
-    eps_start, eps_min, eps_factor = sched
-    res = auction_match(
-        g, eps_start=eps_start, eps_min=eps_min, eps_factor=eps_factor,
-        seed=0,
-    )
+def test_eps_cs_holds_for_final_prices(g, gs_tail):
+    res = auction_match(g, gs_tail=gs_tail)
     res.matching.validate(g)
-    _assert_eps_cs(g, res, eps_start)
+    _assert_eps_cs(g, res)
 
 
-@given(random_graphs(), eps_schedules(), st.integers(0, 3))
+@given(random_graphs(), schedules)
 @settings(max_examples=120, deadline=None)
-def test_terminates_at_maximum_under_any_schedule(g, sched, seed):
-    eps_start, eps_min, eps_factor = sched
-    res = auction_match(
-        g, eps_start=eps_start, eps_min=eps_min, eps_factor=eps_factor,
-        seed=seed,
-    )
+def test_terminates_at_maximum_under_any_schedule(g, gs_tail):
+    res = auction_match(g, gs_tail=gs_tail)
     res.matching.validate(g)
     assert res.cardinality == hopcroft_karp(g).cardinality
-    assert res.phases >= 1
-    assert res.eps_final <= eps_start * (1 + 1e-12)
 
 
-@given(random_graphs(), st.integers(0, 3))
+@given(random_graphs(), schedules)
 @settings(max_examples=120, deadline=None)
-def test_cardinality_trace_monotone_nondecreasing(g, seed):
-    res = auction_match(g, seed=seed)
+def test_cardinality_trace_monotone_nondecreasing(g, gs_tail):
+    res = auction_match(g, gs_tail=gs_tail)
     trace = res.cardinality_trace
     assert all(a <= b for a, b in zip(trace, trace[1:])), trace
     if trace:
         assert trace[-1] == res.cardinality
 
 
-@given(random_graphs(), eps_schedules())
+@given(random_graphs(), schedules)
 @settings(max_examples=60, deadline=None)
-def test_warm_start_preserves_all_properties(g, sched):
+def test_warm_start_preserves_all_properties(g, gs_tail):
     """Warm-starting from a cold run's own output (matching + prices)
     keeps termination, optimality, ε-CS, and trace monotonicity."""
-    eps_start, eps_min, eps_factor = sched
-    cold = auction_match(
-        g, eps_start=eps_start, eps_min=eps_min, eps_factor=eps_factor,
-        seed=1,
-    )
+    cold = auction_match(g, gs_tail=gs_tail)
     warm = auction_match(
-        g, initial=cold, prices=cold.prices,
-        eps_start=eps_start, eps_min=eps_min, eps_factor=eps_factor,
-        seed=1,
+        g, initial=cold, prices=cold.prices, gs_tail=gs_tail
     )
     warm.matching.validate(g)
     assert warm.warm_started
     assert warm.cardinality == cold.cardinality
-    _assert_eps_cs(g, warm, eps_start)
+    _assert_eps_cs(g, warm)
     trace = warm.cardinality_trace
     assert all(a <= b for a, b in zip(trace, trace[1:])), trace
 
@@ -133,10 +116,10 @@ def test_prices_reusable_across_epochs_stay_bounded():
     rng = np.random.default_rng(7)
     dense = (rng.random((30, 28)) < 0.15).astype(int)
     g = from_dense(dense)
-    cap = min(g.nrows, g.ncols) * 1.0  # eps_start = 1.0 default
-    res = auction_match(g, seed=0)
-    for epoch in range(6):
-        res = auction_match(g, initial=res, prices=res.prices, seed=epoch)
+    cap = min(g.nrows, g.ncols) * EPS
+    res = auction_match(g)
+    for _ in range(6):
+        res = auction_match(g, initial=res, prices=res.prices)
         res.matching.validate(g)
-        assert res.prices.max() <= cap + 1.0 + 1e-9
+        assert res.prices.max() <= cap + EPS + 1e-9
         assert res.cardinality == hopcroft_karp(g).cardinality

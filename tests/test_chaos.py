@@ -51,19 +51,24 @@ def test_chaos_matrix_honours_contract(full_sweep):
 
 
 def test_chaos_matrix_reports_injected_faults(full_sweep):
-    """Every backend-row cell reports its plan's hits, and every schedule
-    but the control injects in at least one row.  Faults are drawn by
-    (label, chunk, attempt), so one row alone can stay inert."""
+    """Every backend-row cell reports its plan's hits, every schedule but
+    the control injects in at least one row, and the exact row reaches
+    the backend.  Faults are drawn by (label, chunk, attempt), so one
+    row alone can stay inert."""
     hits: dict[str, int] = {}
+    exact_hits = 0
     for o in full_sweep.outcomes:
         if o.workload not in ("scale", "match", "exact", "serve"):
             continue
         count = re.match(r"faults=(\d+)\b", o.detail)
         assert count, f"{o.workload}/{o.backend}/{o.schedule}: {o.detail!r}"
         hits[o.schedule] = hits.get(o.schedule, 0) + int(count.group(1))
+        if o.workload == "exact":
+            exact_hits += int(count.group(1))
     assert set(hits) == set(standard_schedules())
     assert hits.pop("none") == 0
     assert all(hits.values()), hits
+    assert exact_hits > 0
 
 
 def test_chaos_serial_only_quick():

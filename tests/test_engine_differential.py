@@ -159,7 +159,8 @@ from tests.test_engines_fuzz import FAMILIES
 @pytest.mark.exact
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_auction_matches_exact_oracles_per_family(family):
-    """auction == Hopcroft–Karp == push_relabel == sprank, warm == cold."""
+    """auction == Hopcroft–Karp == push_relabel == sprank; cold (default
+    and kernel rounds only) == warm."""
     from repro.core import two_sided_match
 
     build = FAMILIES[family]
@@ -170,29 +171,18 @@ def test_auction_matches_exact_oracles_per_family(family):
         sp = sprank(g)
         assert hk == pr == sp, (family, seed, hk, pr, sp)
 
-        cold = auction_match(g, seed=seed)
+        cold = auction_match(g)
         cold.matching.validate(g)
         assert cold.cardinality == hk, (family, seed, "cold")
+        kernel_only = auction_match(g, gs_tail=0)
+        kernel_only.matching.validate(g)
+        assert kernel_only.cardinality == hk, (family, seed, "gs_tail=0")
 
         heur = two_sided_match(g, 3, seed=seed)
-        warm = auction_match(g, initial=heur, scaling=heur.scaling,
-                             seed=seed)
+        warm = auction_match(g, initial=heur, scaling=heur.scaling)
         warm.matching.validate(g)
         assert warm.warm_started
         assert warm.cardinality == hk, (family, seed, "warm")
-
-
-@pytest.mark.exact
-@pytest.mark.parametrize("family", sorted(FAMILIES))
-def test_auction_sampling_path_agrees(family):
-    """``sampling="auto"`` (GKK fast path where the probe fires) and
-    ``sampling="never"`` both land on the maximum cardinality."""
-    g = FAMILIES[family](0)
-    want = hopcroft_karp(g).cardinality
-    for mode in ("auto", "never"):
-        res = auction_match(g, sampling=mode, seed=3)
-        res.matching.validate(g)
-        assert res.cardinality == want, (family, mode)
 
 
 def _auction_backends():
@@ -218,9 +208,7 @@ def test_auction_bitwise_across_backends(seed):
     with kernel_chunk_override(64):
         for name, backend in _auction_backends():
             try:
-                results[name] = auction_match(
-                    g, backend=backend, seed=seed, gs_tail=0
-                )
+                results[name] = auction_match(g, backend=backend, gs_tail=0)
             finally:
                 backend.close()
     ref = results["serial"]
@@ -238,6 +226,6 @@ def test_auction_hybrid_tail_agrees_with_pure_kernel_rounds():
     """The Gauss–Seidel tail drain changes the execution schedule, never
     the certified cardinality."""
     g = sprand(500, 3.0, seed=21)
-    pure = auction_match(g, seed=1, gs_tail=0)
-    hybrid = auction_match(g, seed=1)
+    pure = auction_match(g, gs_tail=0)
+    hybrid = auction_match(g)
     assert pure.cardinality == hybrid.cardinality == sprank(g)
