@@ -454,21 +454,22 @@ def run_workloads(smoke: bool, backend_spec: str = "serial") -> dict[str, dict]:
     finally:
         shutil.rmtree(net_dir, ignore_errors=True)
 
-    # Sharded matching: the in-process tier at K in {1, 2, 4}.  Every K
-    # must produce the identical matching (the shard-count-invariance
-    # contract — asserted, not reported); the recorded numbers are the
-    # per-K wall times and the K>1 overhead ratios over K=1.
-    from repro.shard import plan_shards, shard_match
+    # Sharded matching: in-process shard sessions at K in {1, 2, 4}.
+    # Every K must produce the identical matching (the shard-count-
+    # invariance contract — asserted, not reported); the recorded numbers
+    # are the per-K wall times (planning included) and the K>1 overhead
+    # ratios over K=1.
+    from repro.shard import shard_match
 
     n = SIZES["shard_scaling"][idx]
     g = sprand(n, 4.0, seed=0)
     shard_rows = {}
     base_match = None
     for k in (1, 2, 4):
-        plan = plan_shards(g, k)
         t0 = time.perf_counter()
-        res = shard_match(g, k, 5, seed=1, plan=plan)
+        res = shard_match(g, k, 5, seed=1)
         seconds = time.perf_counter() - t0
+        plan = res.plan
         if base_match is None:
             base_match = res.matching.row_match
         elif not np.array_equal(res.matching.row_match, base_match):

@@ -439,23 +439,22 @@ def cmd_shard(args: argparse.Namespace) -> int:
     """Run the sharded matching pipeline and report partition/merge stats.
 
     Generates a random graph, partitions it into ``--shards`` chunk-aligned
-    shards, and runs the full sharded pipeline (2-D Sinkhorn–Knopp, local
-    choices, BSP Karp–Sipser reconciliation) on the in-process tier.  With
+    shards, and runs the full sharded pipeline (sharded Sinkhorn–Knopp,
+    local choices, BSP Karp–Sipser reconciliation) over in-process shard
+    sessions.  With
     ``--check`` it also runs the unsharded serial pipeline and exits 1
     unless the sharded matching, scaling vectors, and §3.3 guarantee are
     bitwise identical — the subsystem's core contract.
     """
     from repro.core import two_sided_match
     from repro.graph.generators import sprand
-    from repro.shard import plan_shards, shard_match
+    from repro.shard import shard_match
 
     g = sprand(args.n, args.degree, seed=args.seed)
-    plan = plan_shards(g, args.shards)
     t0 = time.perf_counter()
-    res = shard_match(
-        g, args.shards, args.iterations, seed=args.seed, plan=plan
-    )
+    res = shard_match(g, args.shards, args.iterations, seed=args.seed)
     dt = time.perf_counter() - t0
+    plan = res.plan
     print(f"graph        : {g.nrows} x {g.ncols}, {g.nnz} edges")
     print(f"shards       : {plan.n_shards} "
           f"(max held nnz {plan.max_held_nnz}, "

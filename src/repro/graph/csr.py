@@ -23,10 +23,10 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from repro._typing import FloatArray, IndexArray
+from repro._typing import BoolArray, FloatArray, IndexArray
 from repro.errors import GraphStructureError, ShapeError
 
-__all__ = ["BipartiteGraph", "LineLayout", "line_layout"]
+__all__ = ["BipartiteGraph", "LineLayout", "line_layout", "missing_edges"]
 
 
 def _as_index_array(a: object, name: str) -> IndexArray:
@@ -96,6 +96,31 @@ def _degree_order(deg: IndexArray) -> IndexArray:
         perm = perm[np.argsort(digit, kind="stable")]
         shift += 16
     return perm
+
+
+def missing_edges(
+    row_ptr: IndexArray,
+    col_ind: IndexArray,
+    ncols: int,
+    rows: IndexArray,
+    cols: IndexArray,
+) -> BoolArray:
+    """Mask of the pairs ``(rows[k], cols[k])`` that are not entries of the
+    CSR pattern ``(row_ptr, col_ind)`` with *ncols* columns.
+
+    One ``searchsorted`` of the pairs' ``row·ncols + col`` keys in the
+    pattern's keys, which ascend because every row's columns do.  Rows
+    must lie in ``[0, len(row_ptr) - 1)``; a column outside
+    ``[0, ncols)`` counts as missing.
+    """
+    n = row_ptr.shape[0] - 1
+    keys = np.repeat(np.arange(n, dtype=np.int64) * ncols, np.diff(row_ptr))
+    keys += col_ind
+    want = rows * ncols + cols
+    pos = np.searchsorted(keys, want)
+    found = (cols >= 0) & (cols < ncols) & (pos < keys.shape[0])
+    found[found] = keys[pos[found]] == want[found]
+    return ~found
 
 
 def line_layout(ptr: IndexArray, ind: IndexArray) -> LineLayout:

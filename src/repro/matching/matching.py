@@ -13,7 +13,7 @@ import numpy as np
 
 from repro._typing import IndexArray
 from repro.errors import ShapeError, ValidationError
-from repro.graph.csr import BipartiteGraph
+from repro.graph.csr import BipartiteGraph, missing_edges
 
 __all__ = ["Matching", "NIL"]
 
@@ -169,10 +169,14 @@ class Matching:
             raise ValidationError(
                 "col_match has matched entries not mirrored in row_match"
             )
-        for i in rows:
-            j = int(rm[i])
-            if not graph.has_edge(int(i), j):
-                raise ValidationError(f"matched pair ({int(i)}, {j}) is not an edge")
+        absent = missing_edges(
+            graph.row_ptr, graph.col_ind, graph.ncols, rows, cols
+        )
+        if absent.any():
+            k = int(np.argmax(absent))
+            raise ValidationError(
+                f"matched pair ({int(rows[k])}, {int(cols[k])}) is not an edge"
+            )
 
     def quality(self, maximum_cardinality: int) -> float:
         """``|M| / maximum_cardinality`` — the paper's quality metric."""

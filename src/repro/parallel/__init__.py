@@ -40,7 +40,6 @@ from repro.parallel.machine import MachineModel, ScheduleKind
 from repro.parallel.partition import chunk_ranges, static_partition
 from repro.parallel.shm import SharedMemoryBackend, WorkerCrashError
 from repro.parallel.simthread import SimScheduler, SchedulePolicy, run_threads
-from repro.parallel.mpi_sim import SimComm, run_ranks
 
 __all__ = [
     "AtomicArray",
@@ -63,6 +62,4 @@ __all__ = [
     "SimScheduler",
     "SchedulePolicy",
     "run_threads",
-    "SimComm",
-    "run_ranks",
 ]

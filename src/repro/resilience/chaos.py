@@ -68,10 +68,10 @@ The remaining rows run once per sweep when the schedules include
     Zero acked loss is this row's contract, so a typed error is
     ``FAILED:lost:``.
 ``shard`` (backend ``router``, ``none`` / ``sigkill``)
-    Daemon-tier sharded matching (:mod:`repro.shard.daemon_tier`) with a
-    shard daemon SIGKILLed mid-reconcile.  The merged matching equals
-    the sim-tier run bitwise, or the failure is typed — never a silently
-    different matching.
+    Sharded matching over shard daemons (:mod:`repro.shard.daemon_tier`)
+    with a shard daemon SIGKILLed mid-reconcile.  The merged matching
+    equals the in-process run bitwise, or the failure is typed — never a
+    silently different matching.
 
 Entry points: :func:`run_chaos` (used by the ``chaos``-marked tests),
 ``python -m repro chaos`` and ``make chaos`` (human-facing reports).
@@ -569,7 +569,7 @@ def _failover(schedule: str, plan: FaultPlan, *, n: int, seed: int) -> str:
 
 
 def _shard(schedule: str, plan: FaultPlan, *, n: int, seed: int) -> str:
-    """``shard`` body: daemon-tier sharded matching under SIGKILL.
+    """``shard`` body: sharded matching over shard daemons under SIGKILL.
 
     A 3-shard matching runs over a 2-daemon router; ``sigkill`` kills
     the daemon owning the second committed shard handle, and the revived
@@ -610,7 +610,7 @@ def _shard(schedule: str, plan: FaultPlan, *, n: int, seed: int) -> str:
     ):
         raise AssertionError(
             "recovered merged matching diverges bitwise from the"
-            " uninterrupted sim-tier run"
+            " uninterrupted in-process run"
         )
     if result.guarantee != reference.guarantee:
         raise AssertionError(

@@ -40,7 +40,7 @@ declared ladder instead of thrashing:
 
 1. ``"full"`` — the requested computation (default rung).
 2. ``"capped"`` — deficiency detected: the iteration budget is capped at
-   ``capped_iterations`` and a :class:`~repro.errors.ConvergenceWarning`
+   :data:`CAPPED_ITERATIONS` and a :class:`~repro.errors.ConvergenceWarning`
    carrying the achieved column-sum error is emitted; the Section 3.3
    relaxed guarantee still applies to the heuristics.
 3. ``"uniform"`` — degenerate input (no nonzeros) or a non-finite
@@ -50,6 +50,9 @@ declared ladder instead of thrashing:
 The rung used is recorded in :attr:`ScalingResult.rung`, so
 ``OneSidedMatch``/``TwoSidedMatch`` can report the best attainable
 guarantee instead of failing (see ``docs/resilience.md``).
+:func:`resolve_budget` takes the ladder decision and
+:func:`maybe_warn_capped` emits the warning, for this loop and for the
+sharded one (:mod:`repro.shard.pipeline`) alike.
 """
 
 from __future__ import annotations
@@ -71,7 +74,18 @@ __all__ = [
     "scale_sinkhorn_knopp",
     "sinkhorn_knopp_work_profile",
     "initial_factors",
+    "resolve_budget",
+    "maybe_warn_capped",
+    "CAPPED_ITERATIONS",
+    "SUPPORT_CHECK_CUTOFF",
 ]
+
+#: Iteration budget on the ``"capped"`` rung.
+CAPPED_ITERATIONS = 25
+#: Largest nonzero count at which the full total-support test (a
+#: maximum-matching computation) is attempted; above it only the O(n)
+#: empty-row/column check runs.
+SUPPORT_CHECK_CUTOFF = 10_000
 
 
 def initial_factors(
@@ -143,6 +157,73 @@ def _lacks_total_support(
     return not dulmage_mendelsohn(graph).total_support
 
 
+def resolve_budget(
+    graph: BipartiteGraph,
+    iterations: int | None,
+    tolerance: float | None,
+    *,
+    max_iterations: int = 1000,
+    degradation: bool = True,
+) -> tuple[int, int, str]:
+    """Validate the budget arguments and take the ladder decision.
+
+    Returns ``(limit, requested_limit, rung)``: the sweeps to run, the
+    sweeps asked for, and the starting rung (the loop itself may still
+    fall to ``"uniform"`` on a non-finite scaling).
+    """
+    if iterations is not None and tolerance is not None:
+        raise ScalingError("pass either iterations or tolerance, not both")
+    if iterations is None and tolerance is None:
+        iterations = 10  # the paper's default working budget
+    if iterations is not None and iterations < 0:
+        raise ScalingError(f"iterations must be >= 0, got {iterations}")
+    if tolerance is not None and tolerance <= 0:
+        raise ScalingError(f"tolerance must be positive, got {tolerance}")
+    limit = iterations if iterations is not None else max_iterations
+    requested_limit = limit
+    rung = "full"
+    if degradation:
+        if graph.nnz == 0:
+            # Nothing to balance: pattern-uniform is the exact answer.
+            rung, limit = "uniform", 0
+        elif _lacks_total_support(
+            graph,
+            # The maximum-matching test is only worth its cost when it
+            # can actually save sweeps (or a doomed tolerance loop).
+            SUPPORT_CHECK_CUTOFF if limit > CAPPED_ITERATIONS else 0,
+        ):
+            rung = "capped"
+            limit = min(limit, CAPPED_ITERATIONS)
+    return limit, requested_limit, rung
+
+
+def maybe_warn_capped(
+    rung: str,
+    converged: bool,
+    done: int,
+    error: float,
+    limit: int,
+    requested_limit: int,
+    tolerance: float | None,
+) -> None:
+    """Emit the ``"capped"`` rung's :class:`ConvergenceWarning` when the
+    cap (or a tolerance it kept out of reach) cut the run short.  The
+    warning points at the caller of the function that calls this one."""
+    if rung == "capped" and not converged and (
+        limit < requested_limit or tolerance is not None
+    ):
+        warnings.warn(
+            ConvergenceWarning(
+                f"matrix lacks total support; Sinkhorn-Knopp stopped "
+                f"on the '{rung}' rung after {done} iteration(s) with "
+                f"column-sum error {error:.6g}",
+                achieved_error=error,
+                rung=rung,
+            ),
+            stacklevel=3,
+        )
+
+
 def scale_sinkhorn_knopp(
     graph: BipartiteGraph,
     iterations: int | None = None,
@@ -153,8 +234,6 @@ def scale_sinkhorn_knopp(
     initial: tuple[FloatArray, FloatArray] | ScalingResult | None = None,
     track_history: bool = False,
     degradation: bool = True,
-    capped_iterations: int = 25,
-    support_check_cutoff: int = 10_000,
 ) -> ScalingResult:
     """Scale *graph*'s adjacency pattern toward doubly stochastic form.
 
@@ -187,12 +266,6 @@ def scale_sinkhorn_knopp(
         Enable the support-aware degradation ladder (see the module
         docstring).  With ``False`` the requested budget is always run
         and ``rung`` stays ``"full"``.
-    capped_iterations:
-        Iteration budget on the ``"capped"`` rung.
-    support_check_cutoff:
-        Largest nonzero count at which the full total-support test (a
-        maximum-matching computation) is attempted; above it only the
-        O(n) empty-row/column check runs.
 
     Returns
     -------
@@ -200,15 +273,10 @@ def scale_sinkhorn_knopp(
         Scaling vectors, final error, iteration count, convergence flag,
         and the degradation-ladder rung used.
     """
-    if iterations is not None and tolerance is not None:
-        raise ScalingError("pass either iterations or tolerance, not both")
-    if iterations is None and tolerance is None:
-        iterations = 10  # the paper's default working budget
-    if iterations is not None and iterations < 0:
-        raise ScalingError(f"iterations must be >= 0, got {iterations}")
-    if tolerance is not None and tolerance <= 0:
-        raise ScalingError(f"tolerance must be positive, got {tolerance}")
-
+    limit, requested_limit, rung = resolve_budget(
+        graph, iterations, tolerance,
+        max_iterations=max_iterations, degradation=degradation,
+    )
     be = get_backend(backend)
 
     dr, dc, warm = initial_factors(graph, initial)
@@ -240,22 +308,6 @@ def scale_sinkhorn_knopp(
             "sk_sweep", graph.nrows, {**rows, "opp": dc, "out": dr},
             backend=be,
         )
-
-    limit = iterations if iterations is not None else max_iterations
-    requested_limit = limit
-    rung = "full"
-    if degradation:
-        if graph.nnz == 0:
-            # Nothing to balance: pattern-uniform is the exact answer.
-            rung, limit = "uniform", 0
-        elif _lacks_total_support(
-            graph,
-            # The maximum-matching test is only worth its cost when it
-            # can actually save sweeps (or a doomed tolerance loop).
-            support_check_cutoff if limit > capped_iterations else 0,
-        ):
-            rung = "capped"
-            limit = min(limit, capped_iterations)
 
     done = 0
     converged = False
@@ -291,19 +343,9 @@ def scale_sinkhorn_knopp(
             dc[:] = 1.0
             converged = False
             error = column_sum_error(graph, dr, dc)
-        if rung == "capped" and not converged and (
-            limit < requested_limit or tolerance is not None
-        ):
-            warnings.warn(
-                ConvergenceWarning(
-                    f"matrix lacks total support; Sinkhorn-Knopp stopped "
-                    f"on the '{rung}' rung after {done} iteration(s) with "
-                    f"column-sum error {error:.6g}",
-                    achieved_error=error,
-                    rung=rung,
-                ),
-                stacklevel=2,
-            )
+        maybe_warn_capped(
+            rung, converged, done, error, limit, requested_limit, tolerance
+        )
         if rung != "full":
             _tm.incr("scaling.sk.degraded")
             _tm.event("scaling.sk.degraded", rung=rung, error=error)

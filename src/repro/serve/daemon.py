@@ -270,6 +270,13 @@ def _error_response(request_id: Any, exc: BaseException) -> dict[str, Any]:
     }
 
 
+def _floats(msg: dict[str, Any], field: str) -> np.ndarray:
+    value = msg.get(field)
+    if value is None:
+        raise ShardError(f"shard verb is missing the {field!r} vector")
+    return np.asarray(value, dtype=np.float64)
+
+
 def _rid_field(msg: dict[str, Any]) -> dict[str, Any]:
     """The journal-record fragment carrying a request's idempotency id.
 
@@ -668,27 +675,57 @@ class _StreamRegistry:
         )
         return response
 
+    # The shard verbs decode JSON lists into the session's numpy steps
+    # and encode the results back; the client half of this codec is
+    # repro.shard.daemon_tier._RemoteShard.
+
     def shard_sweep(self, msg: dict[str, Any]) -> dict[str, Any]:
         # Pure: a deterministic function of the request vectors and the
         # (immutable) slice — never journaled, safe to re-run on retry.
-        return self.get_shard(msg).sweep(msg)
+        session = self.get_shard(msg)
+        which = str(msg.get("which", "col"))
+        if which == "col":
+            dc_next, err = session.col_sweep(
+                _floats(msg, "dr"), _floats(msg, "dc")
+            )
+            return {"dc_next": dc_next.tolist(), "err": err}
+        if which == "row":
+            return {"dr": session.row_sweep(_floats(msg, "dc")).tolist()}
+        if which == "uniform":
+            return {"err": session.uniform_error()}
+        raise ShardError(
+            f"unknown sweep kind {which!r}; expected 'col', 'row', or"
+            f" 'uniform'"
+        )
 
     def shard_choices(self, msg: dict[str, Any]) -> dict[str, Any]:
-        return self.get_shard(msg).choices(msg)
+        draws = msg.get("draws")
+        choice = self.get_shard(msg).choices(
+            str(msg.get("which", "row")),
+            _floats(msg, "opp"),
+            None if draws is None else np.asarray(draws, dtype=np.float64),
+        )
+        return {"choice": choice.tolist()}
 
     def shard_scan(self, msg: dict[str, Any]) -> dict[str, Any]:
-        return self.get_shard(msg).scan()
+        rows, cols = self.get_shard(msg).scan()
+        return {"rows": rows.tolist(), "cols": cols.tolist()}
 
     def shard_arm(self, msg: dict[str, Any]) -> dict[str, Any]:
         session = self.get_shard(msg)
-        response = session.arm(msg)
+        row_choice = [int(v) for v in msg.get("row_choice", ())]
+        col_choice = [int(v) for v in msg.get("col_choice", ())]
+        response = session.arm(
+            np.asarray(row_choice, dtype=np.int64),
+            np.asarray(col_choice, dtype=np.int64),
+        )
         self._journal_append(
             {
                 "op": "shard_arm",
                 "handle": msg.get("handle"),
                 **_rid_field(msg),
-                "row_choice": [int(v) for v in msg.get("row_choice", ())],
-                "col_choice": [int(v) for v in msg.get("col_choice", ())],
+                "row_choice": row_choice,
+                "col_choice": col_choice,
                 "ack": dict(response),
             }
         )
@@ -696,13 +733,14 @@ class _StreamRegistry:
 
     def shard_commit(self, msg: dict[str, Any]) -> dict[str, Any]:
         session = self.get_shard(msg)
-        response = session.commit(msg)
+        candidates = [int(v) for v in msg.get("candidates", ())]
+        response = session.commit(np.asarray(candidates, dtype=np.int64))
         self._journal_append(
             {
                 "op": "shard_commit",
                 "handle": msg.get("handle"),
                 **_rid_field(msg),
-                "candidates": [int(v) for v in msg.get("candidates", ())],
+                "candidates": candidates,
                 "ack": dict(response),
             }
         )
@@ -711,6 +749,7 @@ class _StreamRegistry:
     def shard_finish(self, msg: dict[str, Any]) -> dict[str, Any]:
         session = self.get_shard(msg)
         response = session.finish()
+        match = response.pop("match")
         self._journal_append(
             {
                 "op": "shard_finish",
@@ -721,10 +760,7 @@ class _StreamRegistry:
         )
         # The full match array rides the response but stays out of the
         # journal ack: the checksum already pins it bit for bit.
-        return {
-            **response,
-            "match": session.require_state().match.tolist(),
-        }
+        return {**response, "match": match.tolist()}
 
     def shard_close(self, msg: dict[str, Any]) -> dict[str, Any]:
         handle = msg.get("handle")

@@ -1,21 +1,19 @@
-"""Daemon execution tier: one journaled socket daemon per shard.
+"""Daemon transport: the sharded driver over one journaled daemon per shard.
 
-The coordinator mirrors the in-process tier's program step for step —
-the same :mod:`repro.shard.scale` budget, the same sweep/choice/commit
-order, the same rank-ordered concatenations — but each shard's kernel
-steps run inside a serving daemon behind the
-:class:`~repro.serve.router.Router`, reached through ``shard_*`` verbs.
+:func:`shard_match_daemons` runs the one driver of
+:mod:`repro.shard.pipeline` over K :class:`_RemoteShard` endpoints.  Each
+opens a :class:`~repro.shard.session.ShardSession` inside a serving
+daemon behind the :class:`~repro.serve.router.Router` and forwards every
+driver step as a ``shard_*`` verb.  This is the only transport that
+converts to JSON: vectors go out as lists and come back as arrays.
 
-Why the result is still bitwise equal to the sim tier (and therefore to
-the serial pipeline):
+Why the result is bitwise equal to the in-process transport (and
+therefore to the serial pipeline):
 
-* the daemons run the *same* :class:`~repro.shard.scale.ShardScaleLocal`
-  and :class:`~repro.shard.reconcile.ReconcileState` code the coroutine
-  ranks run — the tiers differ only in transport;
+* the daemons run the *same* :class:`~repro.shard.session.ShardSession`
+  steps the in-process transport calls directly;
 * JSON float round-trips are exact (shortest-repr), so vectors shipped
-  over the wire come back bit for bit;
-* the coordinator concatenates per-shard blocks in shard order, which is
-  the same merge the ``allgather`` pattern performs.
+  over the wire come back bit for bit.
 
 Crash safety: ``shard_open`` / ``shard_arm`` / ``shard_commit`` /
 ``shard_finish`` are write-ahead journaled; ``shard_sweep`` /
@@ -33,57 +31,108 @@ from typing import Any
 
 import numpy as np
 
-from repro import telemetry as _tm
-from .._typing import SeedLike
-from ..errors import MatchingError, ShardError
+from .._typing import FloatArray, IndexArray, SeedLike
+from ..errors import ShardError
 from ..graph.csr import BipartiteGraph
-from ..core.karp_sipser_mt import matching_from_unified
-from ..scaling.result import ScalingResult
-from ..scaling.sinkhorn_knopp import initial_factors
 from .partition import ShardPlan, plan_shards
-from .pipeline import ShardMatchResult, generate_draws, shard_validate_rows
-from .scale import maybe_warn_capped, resolve_budget
+from .pipeline import ShardMatchResult, _drive
 
 __all__ = ["shard_match_daemons"]
 
 
-class _ShardHandles:
-    """K namespaced shard handles plus typed request plumbing."""
+class _RemoteShard:
+    """One shard session in a daemon, with the session's numpy steps.
 
-    def __init__(self, router: Any, plan: ShardPlan, spec: Any) -> None:
+    The session opens on the first step, after the driver has checked
+    its arguments, so a rejected call opens (and journals) nothing.
+    """
+
+    def __init__(self, router: Any, plan: ShardPlan, index: int, spec: Any):
         self.router = router
         self.plan = plan
-        self.handles: list[str] = []
-        for k in range(plan.n_shards):
-            response = router.request(
-                {
-                    "op": "shard_open",
-                    "graph": spec,
-                    "n_shards": plan.n_shards,
-                    "index": k,
-                    "chunk_rows": plan.chunk_rows,
-                    "chunk_cols": plan.chunk_cols,
-                }
-            )
-            s = plan.shards[k]
-            if (
-                response["frontier"] != s.frontier_size
-                or response["csr_nnz"] != s.csr_nnz
-            ):
-                raise ShardError(
-                    f"shard {k} daemon built a different slice than the"
-                    f" coordinator's plan: {response}"
-                )
-            self.handles.append(response["handle"])
+        self.index = index
+        self.spec = spec
+        self.handle: str | None = None
 
-    def call(self, k: int, op: str, **fields: Any) -> dict[str, Any]:
+    def _open(self) -> str:
+        plan = self.plan
+        response = self.router.request(
+            {
+                "op": "shard_open",
+                "graph": self.spec,
+                "n_shards": plan.n_shards,
+                "index": self.index,
+                "chunk_rows": plan.chunk_rows,
+                "chunk_cols": plan.chunk_cols,
+            }
+        )
+        s = plan.shards[self.index]
+        if (
+            response["frontier"] != s.frontier_size
+            or response["csr_nnz"] != s.csr_nnz
+        ):
+            raise ShardError(
+                f"shard {self.index} daemon built a different slice than"
+                f" the coordinator's plan: {response}"
+            )
+        return response["handle"]
+
+    def _call(self, op: str, **fields: Any) -> dict[str, Any]:
+        if self.handle is None:
+            self.handle = self._open()
         return self.router.request(
-            {"op": op, "handle": self.handles[k], **fields}
+            {"op": op, "handle": self.handle, **fields}
         )
 
+    def col_sweep(
+        self, dr_full: FloatArray, dc_own: FloatArray
+    ) -> tuple[FloatArray, float]:
+        r = self._call(
+            "shard_sweep", which="col", dr=dr_full.tolist(), dc=dc_own.tolist()
+        )
+        return np.asarray(r["dc_next"], dtype=np.float64), r["err"]
+
+    def row_sweep(self, dc_full: FloatArray) -> FloatArray:
+        r = self._call("shard_sweep", which="row", dc=dc_full.tolist())
+        return np.asarray(r["dr"], dtype=np.float64)
+
+    def uniform_error(self) -> float:
+        return self._call("shard_sweep", which="uniform")["err"]
+
+    def choices(
+        self, which: str, opp: FloatArray, draws: FloatArray | None
+    ) -> IndexArray:
+        r = self._call(
+            "shard_choices", which=which, opp=opp.tolist(),
+            draws=None if draws is None else draws.tolist(),
+        )
+        return np.asarray(r["choice"], dtype=np.int64)
+
+    def scan(self) -> tuple[IndexArray, IndexArray]:
+        r = self._call("shard_scan")
+        return (
+            np.asarray(r["rows"], dtype=np.int64),
+            np.asarray(r["cols"], dtype=np.int64),
+        )
+
+    def arm(
+        self, row_choice: IndexArray, col_choice: IndexArray
+    ) -> dict[str, Any]:
+        return self._call(
+            "shard_arm",
+            row_choice=row_choice.tolist(), col_choice=col_choice.tolist(),
+        )
+
+    def commit(self, candidates: IndexArray) -> dict[str, Any]:
+        return self._call("shard_commit", candidates=candidates.tolist())
+
+    def finish(self) -> dict[str, Any]:
+        r = self._call("shard_finish")
+        return {**r, "match": np.asarray(r["match"], dtype=np.int64)}
+
     def close(self) -> None:
-        for handle in self.handles:
-            self.router.request({"op": "shard_close", "handle": handle})
+        if self.handle is not None:
+            self._call("shard_close")
 
 
 def shard_match_daemons(
@@ -94,7 +143,6 @@ def shard_match_daemons(
     router: Any,
     seed: SeedLike = None,
     tolerance: float | None = None,
-    validate: bool = True,
     graph: BipartiteGraph | None = None,
 ) -> ShardMatchResult:
     """Sharded TwoSidedMatch over *router*'s daemon fleet.
@@ -109,194 +157,13 @@ def shard_match_daemons(
     if graph is None:
         graph = build_graph(spec, None)
     plan = plan_shards(graph, n_shards)
-    limit, requested_limit, rung = resolve_budget(graph, iterations, tolerance)
-    dr, dc, warm = initial_factors(graph, None)
-    draws_rows, draws_cols = generate_draws(graph, seed)
-    with _tm.span(
-        "shard.match_daemons",
-        n_shards=plan.n_shards, nrows=graph.nrows, ncols=graph.ncols,
-        nnz=graph.nnz, boundary=plan.boundary_edges,
-    ) as sp:
-        shards = _ShardHandles(router, plan, spec)
-        try:
-            result = _drive(
-                shards, plan, graph, dr, dc, limit, requested_limit, rung,
-                tolerance, warm, draws_rows, draws_cols, validate,
-            )
-        finally:
-            shards.close()
-        sp.set(
-            cardinality=result.matching.cardinality,
-            rounds=result.rounds,
-            error=result.scaling.error,
-            rung=result.scaling.rung,
+    shards = [
+        _RemoteShard(router, plan, k, spec) for k in range(plan.n_shards)
+    ]
+    try:
+        return _drive(
+            shards, plan, graph, iterations, tolerance, None, seed, "daemon"
         )
-    return result
-
-
-def _drive(
-    shards: _ShardHandles,
-    plan: ShardPlan,
-    graph: BipartiteGraph,
-    dr: np.ndarray,
-    dc: np.ndarray,
-    limit: int,
-    requested_limit: int,
-    rung: str,
-    tolerance: float | None,
-    warm: bool,
-    draws_rows: np.ndarray | None,
-    draws_cols: np.ndarray | None,
-    validate: bool,
-) -> ShardMatchResult:
-    K = plan.n_shards
-
-    # -- Sinkhorn–Knopp, mirroring scale.sk_rounds ----------------------
-    def col_sweep_with_error() -> tuple[float, np.ndarray]:
-        errs = np.empty(K, dtype=np.float64)
-        blocks = []
-        for k in range(K):
-            s = plan.shards[k]
-            r = shards.call(
-                k, "shard_sweep", which="col",
-                dr=dr.tolist(), dc=dc[s.col_lo : s.col_hi].tolist(),
-            )
-            errs[k] = r["err"]
-            blocks.append(np.asarray(r["dc_next"], dtype=np.float64))
-        # np.max over the per-shard maxima propagates NaN, like the
-        # sim tier's allreduce(max) fold.
-        return (float(np.max(errs)) if K else 0.0), np.concatenate(blocks)
-
-    error, dc_next = col_sweep_with_error()
-    done = 0
-    converged = False
-    for _ in range(limit):
-        if tolerance is not None and error <= tolerance:
-            converged = True
-            break
-        dc, dc_next = dc_next, dc
-        dr = np.concatenate(
-            [
-                np.asarray(
-                    shards.call(k, "shard_sweep", which="row", dc=dc.tolist())[
-                        "dr"
-                    ],
-                    dtype=np.float64,
-                )
-                for k in range(K)
-            ]
-        )
-        done += 1
-        error, dc_next = col_sweep_with_error()
-    if tolerance is not None and error <= tolerance:
-        converged = True
-    fell_back = False
-    if not (
-        np.isfinite(error) and np.isfinite(dr).all() and np.isfinite(dc).all()
-    ):
-        fell_back = True
-        dr = np.ones(graph.nrows, dtype=np.float64)
-        dc = np.ones(graph.ncols, dtype=np.float64)
-        converged = False
-        error = float(
-            np.max(
-                [
-                    shards.call(k, "shard_sweep", which="uniform")["err"]
-                    for k in range(K)
-                ]
-            )
-        )
-    if fell_back:
-        rung = "uniform"
-    maybe_warn_capped(
-        rung, converged, done, error, limit, requested_limit, tolerance
-    )
-
-    # -- choices --------------------------------------------------------
-    def gather_choices(which: str, opp: np.ndarray, draws) -> np.ndarray:
-        blocks = []
-        for k in range(K):
-            s = plan.shards[k]
-            lo, hi = (
-                (s.row_lo, s.row_hi) if which == "row" else (s.col_lo, s.col_hi)
-            )
-            r = shards.call(
-                k, "shard_choices", which=which, opp=opp.tolist(),
-                draws=None if draws is None else draws[lo:hi].tolist(),
-            )
-            blocks.append(np.asarray(r["choice"], dtype=np.int64))
-        return np.concatenate(blocks)
-
-    row_choice = gather_choices("row", dc, draws_rows)
-    col_choice = gather_choices("col", dr, draws_cols)
-
-    # -- reconcile rounds ----------------------------------------------
-    for k in range(K):
-        shards.call(
-            k, "shard_arm",
-            row_choice=row_choice.tolist(), col_choice=col_choice.tolist(),
-        )
-    rounds = 0
-    while True:
-        scans = [shards.call(k, "shard_scan") for k in range(K)]
-        # Rows of every shard in shard order, then columns — the same
-        # axis-major merge the sim tier's allgather concatenation does,
-        # which is the serial ascending scan order.
-        merged = [v for r in scans for v in r["rows"]] + [
-            v for r in scans for v in r["cols"]
-        ]
-        committed = None
-        for k in range(K):
-            r = shards.call(k, "shard_commit", candidates=merged)
-            if committed is None:
-                committed = r["committed"]
-                rounds = r["rounds"]
-            elif r["committed"] != committed:
-                raise ShardError(
-                    f"shard {k} diverged from shard 0 on commit round"
-                    f" {rounds}: replicated state is no longer replicated"
-                )
-        if not committed:
-            break
-
-    # -- finish + global certificate ------------------------------------
-    finishes = [shards.call(k, "shard_finish") for k in range(K)]
-    checksums = {f["checksum"] for f in finishes}
-    if len(checksums) != 1:
-        raise ShardError(
-            f"shard daemons finished with diverging match checksums:"
-            f" {sorted(checksums)}"
-        )
-    match = np.asarray(finishes[0]["match"], dtype=np.int64)
-    rounds = int(finishes[0]["rounds"])
-    bad = sum(
-        shard_validate_rows(plan.shards[k], match) for k in range(K)
-    )
-    if bad:
-        raise MatchingError(
-            f"sharded reconcile produced {bad} matched edge(s) absent"
-            f" from their owning shard's CSR slice"
-        )
-    matching = matching_from_unified(match, graph.nrows, graph.ncols)
-    if validate:
-        matching.validate(graph)
-    scaling = ScalingResult(
-        dr=dr,
-        dc=dc,
-        error=error,
-        iterations=done,
-        converged=converged,
-        history=(),
-        rung=rung,
-        warm_started=warm,
-    )
-    return ShardMatchResult(
-        matching=matching,
-        scaling=scaling,
-        row_choice=row_choice,
-        col_choice=col_choice,
-        n_shards=K,
-        rounds=rounds,
-        tier="daemon",
-        plan=plan,
-    )
+    finally:
+        for shard in shards:
+            shard.close()

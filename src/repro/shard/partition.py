@@ -16,8 +16,8 @@ Two properties make the plan more than a bookkeeping split:
   each line on its own and need no alignment, but share the same bounds.
 * **Determinism.**  The plan is a pure function of ``(nrows, ncols,
   row_ptr, col_ptr, K)`` and the active chunk override — never of worker
-  count, backend, or tier — so both execution tiers and the serial
-  reference agree on ownership.
+  count, backend, or transport — so a coordinator and shard daemons that
+  build their slices separately agree on ownership.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .._typing import IndexArray
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..graph.csr import BipartiteGraph
-    from .pipeline import ShardMatchResult
 
 __all__ = [
     "ShardSlice",
@@ -128,29 +127,6 @@ class ShardPlan:
 
     def owner_of_col(self, j: int) -> int:
         return _owner(self.col_bounds, j, self.ncols, "column")
-
-    def run(
-        self,
-        graph: "BipartiteGraph",
-        iterations: int | None = 5,
-        *,
-        seed=None,
-        tolerance: float | None = None,
-        validate: bool = True,
-    ) -> "ShardMatchResult":
-        """Run the in-process tier over this plan (see
-        :func:`repro.shard.pipeline.shard_match`)."""
-        from .pipeline import shard_match
-
-        return shard_match(
-            graph,
-            self.n_shards,
-            iterations,
-            seed=seed,
-            tolerance=tolerance,
-            validate=validate,
-            plan=self,
-        )
 
 
 def _owner(bounds: tuple[int, ...], idx: int, n: int, axis: str) -> int:
@@ -272,8 +248,9 @@ def plan_shards(
 ) -> ShardPlan:
     """Partition *graph* into *n_shards* deterministic range shards.
 
-    Every shard exists even when its range is empty — the fabric needs a
-    fixed rank count for collectives — so ``K`` never silently shrinks.
+    Every shard exists even when its range is empty, so ``K`` never
+    silently shrinks and a shard daemon's :func:`shard_slice` for
+    ``(K, index)`` is exactly this plan's shard ``index``.
     """
     chunk_rows, chunk_cols, row_bounds, col_bounds = _resolve_chunks(
         graph, n_shards, chunk_rows, chunk_cols

@@ -1,48 +1,67 @@
-"""The sharded matching pipeline: scale → choice → reconcile → certify.
+"""The sharded pipeline's one driver: scale → choice → reconcile → certify.
 
-In-process execution tier: one :mod:`repro.parallel.mpi_sim` coroutine
-rank per shard runs the whole pipeline — 2-D sharded Sinkhorn–Knopp
-(:mod:`repro.shard.scale`), shard-local choice sampling on the registered
-``choice_scaled`` kernel (chunk-aligned, so picks are bitwise equal to
-the serial kernel), BSP Karp–Sipser reconciliation
-(:mod:`repro.shard.reconcile`), then a distributed leg of the §3.3
-certificate: every shard checks its owned rows' matched edges against its
-own CSR slice, and the coordinator re-proves validity and the guarantee
-on the *global* graph.
+:func:`_drive` runs the steps of TwoSidedMatch over K shard endpoints:
 
-The result is bitwise equal to the unsharded
-``two_sided_match(engine="vectorized")`` path for every shard count —
-same scaling vectors, same choices, same merged matching — which is the
-subsystem's differential test anchor.
+1. the degradation-ladder budget, taken once on the global graph
+   (:func:`~repro.scaling.sinkhorn_knopp.resolve_budget`);
+2. Sinkhorn–Knopp sweeps: each shard sweeps its owned columns over its
+   CSC slice against the replicated ``dr`` and reports its local max
+   column-sum error; the coordinator takes the max of those errors and
+   concatenates the column blocks in shard order, then does the same for
+   the owned rows against the replicated ``dc``;
+3. shard-local choice sampling on the registered ``choice_scaled`` kernel
+   (chunk-aligned, so picks are bitwise equal to the serial kernel),
+   concatenated in shard order;
+4. arm every replica with the global choice vectors, then BSP
+   Karp–Sipser rounds (:mod:`repro.shard.reconcile`): each shard scans
+   its owned ranges, the candidates merge in shard order, every replica
+   commits the same merged round;
+5. finish (phase 2 + checksum, which must agree across replicas), then
+   certify: every shard's owned rows' matched edges are checked against
+   its own CSR slice, the merged matching is validated on the *global*
+   graph, and the guarantee is the scaling rung's §3.3 floor — exactly
+   as ``two_sided_match`` reports it.
+
+An endpoint is anything with :class:`~repro.shard.session.ShardSession`'s
+numpy-level steps.  :func:`shard_match` and :func:`shard_scale` drive K
+in-process sessions directly;
+:func:`~repro.shard.daemon_tier.shard_match_daemons` drives K router
+handles, the only transport that converts to JSON.
+Per line the arithmetic is the serial kernels', and every merge is a
+shard-order concatenation or a max, so the result is bitwise equal to
+the unsharded ``two_sided_match(engine="vectorized")`` path for every
+shard count — same scaling vectors, same choices, same merged matching.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any, Sequence
 
 import numpy as np
 
 from repro import telemetry as _tm
 from .._typing import NIL, FloatArray, IndexArray, SeedLike, rng_from
+from ..core.karp_sipser_mt import matching_from_unified
 from ..core.onesided import _rung_guarantee
 from ..constants import TWO_SIDED_GUARANTEE
-from ..errors import MatchingError
-from ..graph.csr import BipartiteGraph
+from ..errors import MatchingError, ShardError
+from ..graph.csr import BipartiteGraph, missing_edges
 from ..matching.matching import Matching
-from ..parallel.kernels import kernel_chunk_override, run_kernel
-from ..parallel.mpi_sim import SimComm, run_ranks
 from ..scaling.result import ScalingResult
-from ..scaling.sinkhorn_knopp import initial_factors
+from ..scaling.sinkhorn_knopp import (
+    initial_factors,
+    maybe_warn_capped,
+    resolve_budget,
+)
 from .partition import ShardPlan, ShardSlice, plan_shards
-from .reconcile import ReconcileState, reconcile_rounds
-from .scale import ShardScaleLocal, maybe_warn_capped, resolve_budget, sk_rounds
+from .session import ShardSession
 
 __all__ = [
     "ShardMatchResult",
     "shard_match",
+    "shard_scale",
     "generate_draws",
-    "shard_row_choices",
-    "shard_col_choices",
     "shard_validate_rows",
 ]
 
@@ -66,72 +85,26 @@ def generate_draws(
     return draws_rows, draws_cols
 
 
-def _slice_choices(
-    n_local: int,
-    lo: int,
-    hi: int,
-    ptr: IndexArray,
-    ind: IndexArray,
-    opp: FloatArray,
-    draws: FloatArray | None,
-    chunk: int,
-) -> IndexArray:
-    if draws is None:
-        return np.full(n_local, NIL, dtype=np.int64)
-    out = np.empty(n_local, dtype=np.int64)
-    # The choice kernel's cumsum is chunk-local; forcing the coordinator's
-    # chunk makes the rebased slice's grid the global grid shifted by the
-    # (chunk-aligned) slice start — identical picks, bit for bit.
-    with kernel_chunk_override(chunk):
-        run_kernel(
-            "choice_scaled", n_local,
-            {
-                "ptr": ptr, "ind": ind, "opp": opp,
-                "draws": draws[lo:hi], "out": out,
-            },
-        )
-    return out
-
-
-def shard_row_choices(
-    shard: ShardSlice, dc_full: FloatArray, draws_rows: FloatArray | None
-) -> IndexArray:
-    """Owned-row block of the serial scaled row choices (global draws)."""
-    return _slice_choices(
-        shard.n_local_rows, shard.row_lo, shard.row_hi,
-        shard.row_ptr, shard.col_ind, dc_full, draws_rows, shard.chunk_rows,
-    )
-
-
-def shard_col_choices(
-    shard: ShardSlice, dr_full: FloatArray, draws_cols: FloatArray | None
-) -> IndexArray:
-    """Owned-column block of the serial scaled column choices."""
-    return _slice_choices(
-        shard.n_local_cols, shard.col_lo, shard.col_hi,
-        shard.col_ptr, shard.row_ind, dr_full, draws_cols, shard.chunk_cols,
-    )
-
-
 def shard_validate_rows(shard: ShardSlice, match: IndexArray) -> int:
     """Matched owned rows whose matched edge is NOT in this shard's CSR
     slice — the distributed leg of the certificate.  Must be 0."""
-    bad = 0
-    for i_local in range(shard.n_local_rows):
-        partner = match[shard.row_lo + i_local]
-        if partner == NIL:
-            continue
-        j = partner - shard.nrows
-        a, b = int(shard.row_ptr[i_local]), int(shard.row_ptr[i_local + 1])
-        pos = int(np.searchsorted(shard.col_ind[a:b], j))
-        if pos >= b - a or shard.col_ind[a + pos] != j:
-            bad += 1
-    return bad
+    own = match[shard.row_lo : shard.row_hi]
+    rows = np.flatnonzero(own != NIL)
+    return int(
+        missing_edges(
+            shard.row_ptr, shard.col_ind, shard.ncols,
+            rows, own[rows] - shard.nrows,
+        ).sum()
+    )
 
 
 @dataclass(frozen=True)
 class ShardMatchResult:
-    """Outcome of a sharded run, mirroring ``TwoSidedResult``'s surface."""
+    """Outcome of a sharded run, mirroring ``TwoSidedResult``'s surface.
+
+    ``tier`` names the transport (``"local"`` or ``"daemon"``) and
+    ``plan`` is the partition the driver built from the graph.
+    """
 
     matching: Matching
     scaling: ScalingResult
@@ -153,43 +126,167 @@ class ShardMatchResult:
         return _rung_guarantee(self.scaling, TWO_SIDED_GUARANTEE)
 
 
-def _pipeline_program(comm: SimComm, arg):
-    shard, dr0, dc0, limit, tolerance, draws_rows, draws_cols = arg
-    local = ShardScaleLocal(shard)
-    dr, dc, error, done, converged, fell_back = yield from sk_rounds(
-        comm, local, dr0, dc0, limit, tolerance
+def _scale(
+    shards: Sequence[Any],
+    plan: ShardPlan,
+    graph: BipartiteGraph,
+    iterations: int | None,
+    tolerance: float | None,
+    initial: Any,
+) -> ScalingResult:
+    """The serial SK loop of ``scale_sinkhorn_knopp`` over K endpoints
+    (``history`` is not tracked)."""
+    limit, requested_limit, rung = resolve_budget(graph, iterations, tolerance)
+    dr, dc, warm = initial_factors(graph, initial)
+
+    def col_sweep_with_error() -> tuple[float, FloatArray]:
+        outs = [
+            ep.col_sweep(dr, dc[s.col_lo : s.col_hi])
+            for ep, s in zip(shards, plan.shards)
+        ]
+        # np.max over the per-shard maxima propagates NaN, which the
+        # non-finite fallback below relies on.  Blocks are contiguous
+        # and in shard order, so concatenation is the global vector.
+        return (
+            float(np.max([err for _, err in outs])),
+            np.concatenate([block for block, _ in outs]),
+        )
+
+    error, dc_next = col_sweep_with_error()
+    done = 0
+    converged = False
+    for _ in range(limit):
+        if tolerance is not None and error <= tolerance:
+            converged = True
+            break
+        dc = dc_next  # commit the fused column sweep
+        dr = np.concatenate([ep.row_sweep(dc) for ep in shards])
+        done += 1
+        error, dc_next = col_sweep_with_error()
+    if tolerance is not None and error <= tolerance:
+        converged = True
+    if not (
+        np.isfinite(error) and np.isfinite(dr).all() and np.isfinite(dc).all()
+    ):
+        rung = "uniform"
+        dr = np.ones(graph.nrows, dtype=np.float64)
+        dc = np.ones(graph.ncols, dtype=np.float64)
+        converged = False
+        error = float(np.max([ep.uniform_error() for ep in shards]))
+    maybe_warn_capped(
+        rung, converged, done, error, limit, requested_limit, tolerance
     )
-    rc_blocks = yield from comm.allgather(
-        shard_row_choices(shard, dc, draws_rows)
+    return ScalingResult(
+        dr=dr,
+        dc=dc,
+        error=error,
+        iterations=done,
+        converged=converged,
+        history=(),
+        rung=rung,
+        warm_started=warm,
     )
-    row_choice = np.concatenate(rc_blocks)
-    cc_blocks = yield from comm.allgather(
-        shard_col_choices(shard, dr, draws_cols)
+
+
+def _gather_choices(
+    shards: Sequence[Any],
+    plan: ShardPlan,
+    which: str,
+    opp: FloatArray,
+    draws: FloatArray | None,
+) -> IndexArray:
+    blocks = []
+    for ep, s in zip(shards, plan.shards):
+        lo, hi = (
+            (s.row_lo, s.row_hi) if which == "row" else (s.col_lo, s.col_hi)
+        )
+        blocks.append(
+            ep.choices(which, opp, None if draws is None else draws[lo:hi])
+        )
+    return np.concatenate(blocks)
+
+
+def _drive(
+    shards: Sequence[Any],
+    plan: ShardPlan,
+    graph: BipartiteGraph,
+    iterations: int | None,
+    tolerance: float | None,
+    initial: Any,
+    seed: SeedLike,
+    tier: str,
+) -> ShardMatchResult:
+    with _tm.span(
+        "shard.match",
+        tier=tier, n_shards=plan.n_shards, nrows=graph.nrows,
+        ncols=graph.ncols, nnz=graph.nnz, boundary=plan.boundary_edges,
+    ) as sp:
+        draws_rows, draws_cols = generate_draws(graph, seed)
+        scaling = _scale(shards, plan, graph, iterations, tolerance, initial)
+        row_choice = _gather_choices(
+            shards, plan, "row", scaling.dc, draws_rows
+        )
+        col_choice = _gather_choices(
+            shards, plan, "col", scaling.dr, draws_cols
+        )
+
+        for ep in shards:
+            ep.arm(row_choice, col_choice)
+        while True:
+            scans = [ep.scan() for ep in shards]
+            # Rows of every shard in shard order, then columns: the
+            # serial ascending scan order, since ownership ranges are
+            # contiguous and sorted.
+            merged = np.concatenate(
+                [rows for rows, _ in scans] + [cols for _, cols in scans]
+            )
+            verdicts = [ep.commit(merged) for ep in shards]
+            committed = verdicts[0]["committed"]
+            for k, v in enumerate(verdicts):
+                if v["committed"] != committed:
+                    raise ShardError(
+                        f"shard {k} diverged from shard 0 on commit round"
+                        f" {verdicts[0]['rounds']}: replicated state is no"
+                        f" longer replicated"
+                    )
+            if not committed:
+                break
+
+        finishes = [ep.finish() for ep in shards]
+        checksums = {f["checksum"] for f in finishes}
+        if len(checksums) != 1:
+            raise ShardError(
+                f"shards finished with diverging match checksums:"
+                f" {sorted(checksums)}"
+            )
+        match = finishes[0]["match"]
+        rounds = int(finishes[0]["rounds"])
+        bad = sum(shard_validate_rows(s, match) for s in plan.shards)
+        if bad:
+            raise MatchingError(
+                f"sharded reconcile produced {bad} matched edge(s) absent"
+                f" from their owning shard's CSR slice"
+            )
+        matching = matching_from_unified(match, graph.nrows, graph.ncols)
+        matching.validate(graph)
+        sp.set(
+            cardinality=matching.cardinality, rounds=rounds,
+            error=scaling.error, rung=scaling.rung,
+        )
+    return ShardMatchResult(
+        matching=matching,
+        scaling=scaling,
+        row_choice=row_choice,
+        col_choice=col_choice,
+        n_shards=plan.n_shards,
+        rounds=rounds,
+        tier=tier,
+        plan=plan,
     )
-    col_choice = np.concatenate(cc_blocks)
-    state = ReconcileState.from_choices(row_choice, col_choice)
-    ranges = [
-        (shard.row_lo, shard.row_hi),
-        (shard.nrows + shard.col_lo, shard.nrows + shard.col_hi),
-    ]
-    yield from reconcile_rounds(comm, state, ranges)
-    bad = yield from comm.allreduce(
-        shard_validate_rows(shard, state.match), op="sum"
-    )
-    if comm.rank != 0:
-        return {"bad": bad}
-    return {
-        "bad": bad,
-        "dr": dr,
-        "dc": dc,
-        "error": error,
-        "done": done,
-        "converged": converged,
-        "fell_back": fell_back,
-        "row_choice": row_choice,
-        "col_choice": col_choice,
-        "state": state,
-    }
+
+
+def _local_sessions(plan: ShardPlan) -> list[ShardSession]:
+    return [ShardSession(None, s) for s in plan.shards]
 
 
 def shard_match(
@@ -200,71 +297,42 @@ def shard_match(
     seed: SeedLike = None,
     tolerance: float | None = None,
     initial=None,
-    validate: bool = True,
-    plan: ShardPlan | None = None,
 ) -> ShardMatchResult:
-    """Sharded TwoSidedMatch on the in-process tier.
+    """Sharded TwoSidedMatch over *n_shards* in-process shard sessions.
 
-    Bitwise equal to the unsharded serial pipeline for any *n_shards*;
-    with ``validate=True`` (default) the merged matching is re-validated
-    against the global graph before the result is returned, on top of
-    the per-shard owned-row edge checks that always run.
+    Bitwise equal to the unsharded serial pipeline for any *n_shards*.
+    The merged matching is validated against the global graph before it
+    is returned, on top of the per-shard owned-row edge checks; the plan
+    built from ``(graph, n_shards)`` comes back as ``result.plan``.
     """
-    if plan is None:
-        plan = plan_shards(graph, n_shards)
-    limit, requested_limit, rung = resolve_budget(graph, iterations, tolerance)
-    dr0, dc0, warm = initial_factors(graph, initial)
-    draws_rows, draws_cols = generate_draws(graph, seed)
-    with _tm.span(
-        "shard.match",
-        n_shards=plan.n_shards, nrows=graph.nrows, ncols=graph.ncols,
-        nnz=graph.nnz, boundary=plan.boundary_edges,
-    ) as sp:
-        results = run_ranks(
-            _pipeline_program,
-            [
-                (s, dr0.copy(), dc0.copy(), limit, tolerance,
-                 draws_rows, draws_cols)
-                for s in plan.shards
-            ],
-        )
-        head = results[0]
-        if head["bad"]:
-            raise MatchingError(
-                f"sharded reconcile produced {head['bad']} matched edge(s)"
-                f" absent from their owning shard's CSR slice"
-            )
-        if head["fell_back"]:
-            rung = "uniform"
-        maybe_warn_capped(
-            rung, head["converged"], head["done"], head["error"],
-            limit, requested_limit, tolerance,
-        )
-        scaling = ScalingResult(
-            dr=head["dr"],
-            dc=head["dc"],
-            error=head["error"],
-            iterations=head["done"],
-            converged=head["converged"],
-            history=(),
-            rung=rung,
-            warm_started=warm,
-        )
-        state: ReconcileState = head["state"]
-        matching = state.result()
-        if validate:
-            matching.validate(graph)
-        sp.set(
-            cardinality=matching.cardinality, rounds=state.rounds,
-            error=scaling.error, rung=rung,
-        )
-    return ShardMatchResult(
-        matching=matching,
-        scaling=scaling,
-        row_choice=head["row_choice"],
-        col_choice=head["col_choice"],
-        n_shards=plan.n_shards,
-        rounds=state.rounds,
-        tier="sim",
-        plan=plan,
+    plan = plan_shards(graph, n_shards)
+    return _drive(
+        _local_sessions(plan), plan, graph, iterations, tolerance, initial,
+        seed, "local",
     )
+
+
+def shard_scale(
+    graph: BipartiteGraph,
+    iterations: int | None = None,
+    *,
+    n_shards: int = 2,
+    tolerance: float | None = None,
+    initial=None,
+) -> ScalingResult:
+    """Sharded SK over *n_shards* in-process shard sessions, bitwise equal
+    to :func:`~repro.scaling.sinkhorn_knopp.scale_sinkhorn_knopp` (modulo
+    ``history``, which the sharded path does not track)."""
+    plan = plan_shards(graph, n_shards)
+    with _tm.span(
+        "shard.scale",
+        n_shards=plan.n_shards, nrows=graph.nrows, ncols=graph.ncols,
+    ) as sp:
+        result = _scale(
+            _local_sessions(plan), plan, graph, iterations, tolerance, initial
+        )
+        sp.set(
+            iterations=result.iterations, error=result.error,
+            converged=result.converged, rung=result.rung,
+        )
+    return result

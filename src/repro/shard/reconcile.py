@@ -6,16 +6,17 @@ degree decrement*, then a one-shot column phase 2.  In this full-scan
 form it is a sequence of whole-array passes, so it shards naturally:
 each shard scans only its owned unified-id ranges
 (its rows, then its columns — boundary edges included, since a choice may
-point into a foreign shard), the per-shard candidate lists are allgathered
-and concatenated in rank order — which *is* the serial ascending scan
+point into a foreign shard), the driver concatenates the per-shard
+candidate lists in shard order — which *is* the serial ascending scan
 order, because ownership ranges are contiguous and sorted — and every
 shard applies the identical merged commit to its replicated O(n) state.
 
 The commit's last-writer-wins scatter in ascending candidate order is the
 deterministic tie order of the subsystem: it never consults shard ids, so
 the merged matching is independent of the shard count.  :class:`ReconcileState`
-is the single implementation of scan/commit used by the serial check, the
-in-process tier, and the daemon tier.  It keeps the full scan every round
+is the single implementation of scan/commit used by the serial check and
+by every shard session (:mod:`repro.shard.session`), in process or in a
+daemon.  It keeps the full scan every round
 and is the reference for the single-process engine
 (:func:`repro.core.karp_sipser_mt.karp_sipser_mt_vectorized`), which
 after round 1 examines only Lemma 4's frontier and must still produce
@@ -30,7 +31,7 @@ from .._typing import NIL, IndexArray
 from ..core.karp_sipser_mt import matching_from_unified, unify_choices
 from ..matching.matching import Matching
 
-__all__ = ["ReconcileState", "reconcile_rounds", "reconcile_serial"]
+__all__ = ["ReconcileState", "reconcile_serial"]
 
 
 class ReconcileState:
@@ -115,7 +116,7 @@ class ReconcileState:
     def result(self) -> Matching:
         return matching_from_unified(self.match, self.nrows, self.ncols)
 
-    # -- daemon-tier checkpoint plumbing ---------------------------------
+    # -- checkpoint plumbing (shard daemons) ------------------------------
 
     def export_state(self) -> dict:
         return {
@@ -140,27 +141,6 @@ class ReconcileState:
         obj.alive = np.asarray(state["alive"], dtype=np.int64).astype(bool)
         obj.rounds = int(state["rounds"])
         return obj
-
-
-def reconcile_rounds(comm, state: ReconcileState, ranges) -> None:
-    """The BSP reconcile loop as an :mod:`mpi_sim` subgenerator.
-
-    *ranges* is this rank's list of owned ``(lo, hi)`` unified-id ranges
-    (its row range, then its column range shifted by ``nrows``).  Ranks'
-    ranges are contiguous and ascending with rank id per axis, so the
-    rank-ordered allgather concatenation reproduces the serial scan order.
-    """
-    while True:
-        parts = yield from comm.allgather(
-            [state.scan_range(lo, hi) for lo, hi in ranges]
-        )
-        merged = np.concatenate(
-            [p[axis] for axis in range(len(ranges)) for p in parts]
-        )
-        if not state.commit(merged):
-            break
-    state.phase2()
-    return state
 
 
 def reconcile_serial(

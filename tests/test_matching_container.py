@@ -83,6 +83,20 @@ class TestValidation:
         with pytest.raises(ValidationError):
             m.validate(g)
 
+    def test_non_edge_after_many_valid_pairs_is_named(self):
+        # A band (edges (i, i) and (i, i + 1)) matched on its diagonal,
+        # except rows 400 and 402 swap partners: (400, 402) is the first
+        # matched pair that is not an edge, after 400 valid ones.
+        n = 500
+        dense = np.eye(n, dtype=int)
+        dense[np.arange(n - 1), np.arange(1, n)] = 1
+        g = from_dense(dense)
+        partner = np.arange(n)
+        partner[[400, 402]] = partner[[402, 400]]
+        m = Matching.from_row_match(partner, n)
+        with pytest.raises(ValidationError, match=r"\(400, 402\) is not"):
+            m.validate(g)
+
     def test_inconsistent_sides_rejected(self):
         g = from_dense(np.ones((2, 2)))
         m = Matching(

@@ -90,7 +90,7 @@ class TestLadderRungs:
         assert result.iterations == 60
 
     def test_small_budgets_not_second_guessed(self):
-        # The paper's working budgets (<= capped_iterations) run as asked
+        # The paper's working budgets (<= CAPPED_ITERATIONS) run as asked
         # even on deficient matrices; only the warning-free cap applies.
         result = scale_sinkhorn_knopp(_empty_row(), 5)
         assert result.iterations == 5

@@ -13,10 +13,13 @@ The matrix below proves it per generator family at K ∈ {1, 2, 4}, plus:
   ``engine="parallel"``, which after round 1 follow only the out-one
   frontier, pinned bitwise (matching and round count) to reconcile's
   full-scan rounds;
-* the daemon tier — shard verbs through a live :class:`Dispatcher`, the
-  full coordinator over a subprocess router fleet (bitwise vs the sim
-  tier), and a SIGKILL of a shard daemon mid-round recovering to the
-  identical merged matching;
+* sharded Sinkhorn–Knopp (``shard_scale``) bitwise against the serial
+  loop for 1–16 shards, with a Hypothesis property over graphs, budgets
+  and shard counts, and the certificate's per-shard edge check;
+* the daemon transport — shard verbs through a live :class:`Dispatcher`,
+  the full driver over a subprocess router fleet (bitwise vs the
+  in-process transport), and a SIGKILL of a shard daemon mid-round
+  recovering to the identical merged matching;
 * keep-alive :class:`~repro.serve.net.ResilientClient` connections and
   the dispatcher's bounded acked-rid replay cache.
 """
@@ -28,6 +31,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import telemetry
 from repro.core import two_sided_match
@@ -39,6 +43,7 @@ from repro.core.karp_sipser_mt import (
 from repro.errors import (
     ConvergenceWarning,
     PartitionedError,
+    ScalingError,
     ShardError,
     StreamError,
 )
@@ -59,7 +64,9 @@ from repro.shard import (
     plan_shards,
     reconcile_serial,
     shard_match,
+    shard_scale,
 )
+from repro.shard.pipeline import shard_validate_rows
 from tests.test_karp_sipser_mt_vectorized import (
     chain_choices,
     choice_arrays,
@@ -119,7 +126,7 @@ def test_differential_matrix(family, k):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ConvergenceWarning)
             res = shard_match(g, k, 5, seed=3)
-    assert res.n_shards == k and res.tier == "sim"
+    assert res.n_shards == k and res.tier == "local"
     _assert_bitwise_equal(res, ref)
 
 
@@ -297,10 +304,98 @@ def test_plan_for_budget_matches_under_memory_cap():
         assert plan.max_held_nnz <= cap < whole
         # No coarser plan would have fit: the next-smaller K overflows.
         assert plan_shards(g, plan.n_shards - 1).max_held_nnz > cap
-        res = plan.run(g, 5, seed=11)
+        res = shard_match(g, plan.n_shards, 5, seed=11)
         ref = _serial_reference(g, iterations=5, seed=11)
+    assert res.plan.row_bounds == plan.row_bounds
+    assert res.plan.max_held_nnz == plan.max_held_nnz
     _assert_bitwise_equal(res, ref)
     res.matching.validate(g)
+
+
+# ---------------------------------------------------------------------------
+# sharded Sinkhorn–Knopp and the per-shard edge check
+
+#: Chunk size for the sharded-scaling checks: small enough that every
+#: fixed case below splits into several chunks, so K > 1 plans hold rows.
+SCALE_CHUNK = 2
+
+
+class TestShardScale:
+    """``shard_scale`` (one in-process session per shard) against serial
+    Sinkhorn–Knopp: bitwise in both factor vectors, exact in the error
+    and the sweep count.  The small chunk grid makes multi-shard plans
+    form on test-sized graphs; ``plan_shards`` leaves a shard empty when
+    there are more shards than chunks."""
+
+    @staticmethod
+    def _assert_bitwise(g, iterations, n_shards):
+        with kernel_chunk_override(SCALE_CHUNK):
+            serial = scale_sinkhorn_knopp(g, iterations)
+            sharded = shard_scale(g, iterations, n_shards=n_shards)
+        np.testing.assert_array_equal(sharded.dr, serial.dr)
+        np.testing.assert_array_equal(sharded.dc, serial.dc)
+        assert sharded.error == serial.error
+        assert sharded.iterations == serial.iterations
+        return sharded
+
+    @pytest.mark.parametrize("n_shards", [1, 2, 3, 5])
+    def test_matches_serial(self, n_shards):
+        self._assert_bitwise(sprand(300, 4.0, seed=0), 5, n_shards)
+
+    def test_rectangular(self):
+        self._assert_bitwise(sprand_rect(120, 200, 3.0, seed=1), 4, 3)
+
+    def test_empty_lines_tolerated(self):
+        a = np.array([[1, 1, 0], [0, 0, 0], [0, 1, 0]])
+        sharded = self._assert_bitwise(from_dense(a), 3, 2)
+        assert np.isfinite(sharded.dr).all()
+        assert np.isfinite(sharded.dc).all()
+
+    def test_more_shards_than_rows(self):
+        self._assert_bitwise(sprand(5, 2.0, seed=0), 2, 16)
+
+    def test_zero_iterations(self):
+        sharded = self._assert_bitwise(sprand(50, 3.0, seed=0), 0, 2)
+        np.testing.assert_array_equal(sharded.dr, np.ones(50))
+
+    def test_bad_arguments(self):
+        g = sprand(10, 2.0, seed=0)
+        with pytest.raises(ScalingError):
+            shard_scale(g, -1)
+        with pytest.raises(ShardError):
+            shard_scale(g, 2, n_shards=0)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.integers(min_value=2, max_value=120),
+        degree=st.floats(min_value=1.0, max_value=6.0),
+        iterations=st.integers(min_value=0, max_value=8),
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+        n_shards=st.integers(min_value=1, max_value=7),
+    )
+    def test_shard_count_never_changes_the_factors(
+        self, n, degree, iterations, seed, n_shards
+    ):
+        """Property: for any graph, budget, and shard count, the sharded
+        sweep is bitwise equal to the serial one."""
+        g = sprand(n, min(degree, float(n)), seed=seed)
+        self._assert_bitwise(g, iterations, n_shards)
+
+
+def test_shard_validate_rows_counts_partners_outside_the_slice():
+    g = sprand(260, 4.0, seed=7)
+    with kernel_chunk_override(CHUNK):
+        plan = plan_shards(g, 3)
+    # Every non-empty row points at its first neighbour: all real edges.
+    match = np.full(g.nrows + g.ncols, NIL, dtype=np.int64)
+    rows = np.flatnonzero(g.row_degrees() > 0)
+    match[rows] = g.nrows + g.col_ind[g.row_ptr[rows]]
+    assert [shard_validate_rows(s, match) for s in plan.shards] == [0, 0, 0]
+    # One row of shard 1 now points at a column outside its CSR slice.
+    i = plan.shards[1].row_lo
+    j = next(c for c in range(g.ncols) if not g.has_edge(i, c))
+    match[i] = g.nrows + j
+    assert [shard_validate_rows(s, match) for s in plan.shards] == [0, 1, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -325,9 +420,9 @@ def test_dispatcher_shard_verbs_roundtrip():
     spec = {"kind": "sprand", "n": 120, "degree": 4.0, "seed": 2}
     g = sprand(120, 4.0, seed=2)
     with kernel_chunk_override(CHUNK):
-        plan = plan_shards(g, 2)
-        sim = shard_match(g, 2, 3, seed=5, plan=plan)
-    sc, rc, cc = sim.scaling, sim.row_choice, sim.col_choice
+        local = shard_match(g, 2, 3, seed=5)
+    plan = local.plan
+    sc, rc, cc = local.scaling, local.row_choice, local.col_choice
     server, dispatcher = _dispatcher()
     try:
         handles = []
@@ -342,7 +437,7 @@ def test_dispatcher_shard_verbs_roundtrip():
             assert response["csr_nnz"] == plan.shards[k].csr_nnz
             assert response["frontier"] == plan.shards[k].frontier_size
             handles.append(response["handle"])
-        # Choices on the daemon's slices equal the sim tier's blocks.
+        # Choice verbs answer on the daemon's slices.
         for k, handle in enumerate(handles):
             s = plan.shards[k]
             response, _ = dispatcher.handle({
@@ -352,7 +447,7 @@ def test_dispatcher_shard_verbs_roundtrip():
             })
             assert response["ok"]
         # Arm, run the reconcile rounds, finish: checksums must agree and
-        # the merged matching must equal the sim tier's bitwise.
+        # the merged matching must equal the in-process run's bitwise.
         for k, handle in enumerate(handles):
             response, _ = dispatcher.handle({
                 "op": "shard_arm", "id": 20 + k, "handle": handle,
@@ -395,7 +490,7 @@ def test_dispatcher_shard_verbs_roundtrip():
                 match, g.nrows, g.ncols
             )
             np.testing.assert_array_equal(
-                merged_matching.row_match, sim.matching.row_match
+                merged_matching.row_match, local.matching.row_match
             )
         assert len(digests) == 1
         health, _ = dispatcher.handle({"op": "health", "id": 90})
@@ -489,8 +584,8 @@ def test_shard_sessions_survive_journal_recovery(tmp_path):
     spec = {"kind": "sprand", "n": 90, "degree": 4.0, "seed": 6}
     g = sprand(90, 4.0, seed=6)
     with kernel_chunk_override(CHUNK):
-        plan = plan_shards(g, 2)
-        sim = shard_match(g, 2, 3, seed=8, plan=plan)
+        local = shard_match(g, 2, 3, seed=8)
+    plan = local.plan
     cache = GraphCache(4)
     # checkpoint_every=2 forces a mid-stream snapshot, so recovery
     # exercises checkpoint load + WAL tail replay, not replay alone.
@@ -509,8 +604,8 @@ def test_shard_sessions_survive_journal_recovery(tmp_path):
     for k, handle in enumerate(handles):
         registry.shard_arm({
             "handle": handle, "rid": f"arm-{k}",
-            "row_choice": sim.row_choice.tolist(),
-            "col_choice": sim.col_choice.tolist(),
+            "row_choice": local.row_choice.tolist(),
+            "col_choice": local.col_choice.tolist(),
         })
     # One committed round before the "crash".
     scans = [registry.shard_scan({"handle": h}) for h in handles]
@@ -533,8 +628,8 @@ def test_shard_sessions_survive_journal_recovery(tmp_path):
     assert sorted(recovered._shards) == sorted(handles)
     for handle in handles:
         assert recovered._shards[handle].export_state() == mid_states[handle]
-    # The recovered replica, driven to completion, lands on the sim
-    # tier's matching — the crash lost nothing.
+    # The recovered replica, driven to completion, lands on the
+    # in-process run's matching — the crash lost nothing.
     while True:
         scans = [recovered.shard_scan({"handle": h}) for h in handles]
         merged = [v for r in scans for v in r["rows"]] + [
@@ -557,7 +652,7 @@ def test_shard_sessions_survive_journal_recovery(tmp_path):
         recovered._shards[handles[0]].state.match, g.nrows, g.ncols
     )
     np.testing.assert_array_equal(
-        final.row_match, sim.matching.row_match
+        final.row_match, local.matching.row_match
     )
 
 
@@ -571,7 +666,7 @@ def test_daemon_tier_bitwise_equals_sim_tier(tmp_path):
 
     spec = {"kind": "sprand", "n": 250, "degree": 4.0, "seed": 9}
     g = sprand(250, 4.0, seed=9)
-    sim = shard_match(g, 3, iterations=4, seed=21)
+    local = shard_match(g, 3, iterations=4, seed=21)
     with Router(
         2, str(tmp_path / "rt"), backend="serial", health_interval=0.0
     ) as router:
@@ -579,10 +674,22 @@ def test_daemon_tier_bitwise_equals_sim_tier(tmp_path):
             spec, 3, iterations=4, router=router, seed=21, graph=g
         )
     assert dmn.tier == "daemon"
-    _assert_bitwise_equal(dmn, sim)
-    np.testing.assert_array_equal(dmn.row_choice, sim.row_choice)
-    np.testing.assert_array_equal(dmn.col_choice, sim.col_choice)
-    assert dmn.rounds == sim.rounds
+    _assert_bitwise_equal(dmn, local)
+    np.testing.assert_array_equal(dmn.row_choice, local.row_choice)
+    np.testing.assert_array_equal(dmn.col_choice, local.col_choice)
+    assert dmn.rounds == local.rounds
+
+
+def test_daemon_transport_rejects_bad_budget_before_opening():
+    from repro.shard import shard_match_daemons
+
+    class NoRouter:
+        def request(self, msg, **kw):
+            raise AssertionError(f"unexpected {msg['op']} request")
+
+    spec = {"kind": "sprand", "n": 60, "degree": 3.0, "seed": 0}
+    with pytest.raises(ScalingError):
+        shard_match_daemons(spec, 2, iterations=-1, router=NoRouter())
 
 
 def test_daemon_tier_survives_shard_kill_mid_round(tmp_path):
@@ -591,7 +698,7 @@ def test_daemon_tier_survives_shard_kill_mid_round(tmp_path):
 
     spec = {"kind": "sprand", "n": 250, "degree": 4.0, "seed": 9}
     g = sprand(250, 4.0, seed=9)
-    sim = shard_match(g, 3, iterations=4, seed=21)
+    local = shard_match(g, 3, iterations=4, seed=21)
     with Router(
         2, str(tmp_path / "rt"), backend="serial", health_interval=0.0
     ) as router:
@@ -621,7 +728,7 @@ def test_daemon_tier_survives_shard_kill_mid_round(tmp_path):
         )
         assert restarts >= 1
     # Zero acked loss: the recovered run equals the uninterrupted one.
-    _assert_bitwise_equal(dmn, sim)
+    _assert_bitwise_equal(dmn, local)
 
 
 # ---------------------------------------------------------------------------
