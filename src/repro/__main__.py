@@ -438,19 +438,25 @@ def cmd_stream(args: argparse.Namespace) -> int:
 def cmd_shard(args: argparse.Namespace) -> int:
     """Run the sharded matching pipeline and report partition/merge stats.
 
-    Generates a random graph, partitions it into ``--shards`` chunk-aligned
-    shards, and runs the full sharded pipeline (sharded Sinkhorn–Knopp,
-    local choices, BSP Karp–Sipser reconciliation) over in-process shard
-    sessions.  With
-    ``--check`` it also runs the unsharded serial pipeline and exits 1
-    unless the sharded matching, scaling vectors, and §3.3 guarantee are
-    bitwise identical — the subsystem's core contract.
+    Generates a random graph (an Erdős–Rényi pattern overlaid with a
+    random permutation, so no row or column is empty and SK can reach
+    its target), partitions it into ``--shards`` chunk-aligned shards,
+    and runs the full sharded pipeline (sharded Sinkhorn–Knopp, local
+    choices, BSP Karp–Sipser reconciliation) over in-process shard
+    sessions.  With ``--check`` it also runs the unsharded serial
+    pipeline and exits 1 unless the sharded matching, scaling vectors,
+    and §3.3 guarantee are bitwise identical — the subsystem's core
+    contract — and the guarantee is positive, so that its half of the
+    comparison can catch a guarantee bug.
     """
     from repro.core import two_sided_match
-    from repro.graph.generators import sprand
+    from repro.graph.generators import overlay, random_permutation_graph, sprand
     from repro.shard import shard_match
 
-    g = sprand(args.n, args.degree, seed=args.seed)
+    g = overlay(
+        sprand(args.n, args.degree, seed=args.seed),
+        random_permutation_graph(args.n, seed=args.seed),
+    )
     t0 = time.perf_counter()
     res = shard_match(g, args.shards, args.iterations, seed=args.seed)
     dt = time.perf_counter() - t0
@@ -475,6 +481,9 @@ def cmd_shard(args: argparse.Namespace) -> int:
         and res.guarantee == ref.guarantee
     )
     print(f"serial check : {'bitwise-identical' if same else 'MISMATCH'}")
+    if ref.guarantee <= 0:
+        print("serial check : FAILED, a guarantee of 0 compares nothing")
+        return 1
     return 0 if same else 1
 
 
@@ -779,7 +788,8 @@ def main(argv: list[str] | None = None) -> int:
     p_shard.add_argument(
         "--check", action="store_true",
         help="also run the unsharded serial pipeline and exit 1 unless "
-             "the sharded result is bitwise identical",
+             "the sharded result is bitwise identical and its guarantee "
+             "is positive",
     )
     p_shard.set_defaults(fn=cmd_shard)
 

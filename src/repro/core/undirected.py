@@ -28,7 +28,7 @@ import numpy as np
 
 from repro._typing import IndexArray, SeedLike, rng_from
 from repro.errors import MatchingError, ScalingError, ShapeError
-from repro.graph.csr import BipartiteGraph
+from repro.graph.csr import BipartiteGraph, missing_edges
 from repro.matching.matching import NIL
 from repro.core.choice import choices_from_weights
 from repro.scaling.result import ScalingResult
@@ -65,18 +65,35 @@ class UndirectedMatching:
 def validate_undirected_matching(
     graph: BipartiteGraph, matching: UndirectedMatching
 ) -> None:
-    """Raise unless *matching* is a valid matching of the symmetric graph."""
+    """Raise unless *matching* is a valid matching of the symmetric graph.
+
+    Every check runs over all matched vertices at once; the error names
+    the lowest vertex that fails one, with its first failed check in the
+    order range, self-match, mutuality, edge.
+    """
     mate = matching.mate
-    if mate.shape[0] != graph.nrows:
+    n = graph.nrows
+    if mate.shape[0] != n:
         raise ShapeError("matching size does not fit the graph")
-    for u in np.flatnonzero(mate != NIL):
-        v = int(mate[u])
-        if v == int(u):
-            raise MatchingError(f"vertex {u} matched to itself")
-        if int(mate[v]) != int(u):
-            raise MatchingError(f"match of {u} and {v} is not mutual")
-        if not graph.has_edge(int(u), v):
-            raise MatchingError(f"matched pair ({u}, {v}) is not an edge")
+    u = np.flatnonzero(mate != NIL)
+    v = mate[u]
+    outside = (v < 0) | (v >= n)
+    self_match = v == u
+    # An out-of-range partner is looked up at u instead (and masked).
+    not_mutual = ~outside & (mate[np.where(outside, u, v)] != u)
+    not_edge = missing_edges(graph.row_ptr, graph.col_ind, graph.ncols, u, v)
+    bad = np.flatnonzero(outside | self_match | not_mutual | not_edge)
+    if bad.size == 0:
+        return
+    k = bad[0]
+    a, b = int(u[k]), int(v[k])
+    if outside[k]:
+        raise MatchingError(f"vertex {a} matched to {b}, outside [0, {n})")
+    if self_match[k]:
+        raise MatchingError(f"vertex {a} matched to itself")
+    if not_mutual[k]:
+        raise MatchingError(f"match of {a} and {b} is not mutual")
+    raise MatchingError(f"matched pair ({a}, {b}) is not an edge")
 
 
 def _require_symmetric(graph: BipartiteGraph) -> None:

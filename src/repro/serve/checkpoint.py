@@ -43,6 +43,7 @@ from typing import Any
 import numpy as np
 
 from repro.errors import RecoveryError
+from repro.serve.journal import _json_default
 
 __all__ = ["write_snapshot", "read_snapshot"]
 
@@ -74,8 +75,9 @@ def write_snapshot(path: str | os.PathLike[str], registry: dict[str, Any]) -> No
         "handles": sorted(registry["sessions"]),
         "scalars": {},
         "last_ack": registry.get("last_ack", {}),
-        # Shard sessions are fully JSON-able (spec + reconcile vectors as
-        # lists) — they ride the metadata entry untouched.
+        # Shard sessions are JSON-able (spec + reconcile vectors as
+        # lists; a routed spec's int64 arrays are written as lists) —
+        # they ride the metadata entry.
         "shards": registry.get("shards", {}),
     }
     arrays: dict[str, np.ndarray] = {}
@@ -87,11 +89,12 @@ def write_snapshot(path: str | os.PathLike[str], registry: dict[str, Any]) -> No
             for key, value in part_arrays.items():
                 arrays[f"{handle}/{part}/{key}"] = value
     meta["arrays"] = sorted(arrays)
+    text = json.dumps(meta, sort_keys=True, default=_json_default)
     # Pass an open handle: given a path, np.savez appends ".npz" and the
     # caller's path would never be written.
     with open(path, "wb") as fh:
         np.savez(fh, **{_META: np.frombuffer(
-            json.dumps(meta, sort_keys=True).encode("utf-8"), dtype=np.uint8
+            text.encode("utf-8"), dtype=np.uint8
         )}, **arrays)
 
 

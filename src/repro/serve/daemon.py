@@ -192,16 +192,32 @@ def graph_key(spec: Any) -> str:
     An inline COO spec is keyed by SHA-256 over its shape, its edge
     count and the int64 bytes of ``rows`` and ``cols``, so equal
     content gives one key whatever the dict's key order, extra fields
-    or integer types.  ``path`` and ``kind`` specs keep their canonical
-    JSON.  A spec that is not valid COO falls back to canonical JSON
-    without raising: :func:`build_graph` reports its typed error.
+    or integer types (a list and its int64 array give one key).
+    ``path`` and ``kind`` specs keep their canonical JSON.  A spec that
+    is not valid COO falls back to canonical JSON without raising:
+    :func:`build_graph` reports its typed error.
+    """
+    return keyed_spec(spec)[0]
+
+
+def keyed_spec(spec: Any) -> tuple[str, Any]:
+    """``(graph_key(spec), spec)``, validating an inline COO spec once.
+
+    A valid COO spec comes back as a new dict whose ``rows`` and
+    ``cols`` are the validated int64 arrays, which the socket codec
+    (:func:`~repro.serve.net.encode_message`) sends as raw bytes; the
+    caller's dict is not changed.  Any other spec, an invalid COO spec
+    included, comes back as it came.
     """
     if _is_coo(spec):
         try:
-            return _coo_key(*_coo_arrays(spec))
+            nrows, ncols, rows, cols = _coo_arrays(spec)
         except ServiceError:
             pass
-    return _json_key(spec)
+        else:
+            key = _coo_key(nrows, ncols, rows, cols)
+            return key, {**spec, "rows": rows, "cols": cols}
+    return _json_key(spec), spec
 
 
 def build_graph(

@@ -60,6 +60,8 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
+import numpy as np
+
 from repro import telemetry as _tm
 from repro.errors import RecoveryError, WorkerCrashError
 from repro.resilience.faults import FaultKind, FaultSpec, active_plan
@@ -77,9 +79,25 @@ _MAGIC = b"J1 "
 _HEADER = 21
 
 
+def _json_default(value: Any) -> Any:
+    """``json.dumps`` hook: an ndarray is written as its list.
+
+    A graph spec forwarded by the router holds int64 arrays where a
+    client sent lists; both encode to the same JSON text.  Any other
+    value JSON cannot encode still raises.
+    """
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    raise TypeError(
+        f"Object of type {type(value).__name__} is not JSON serializable"
+    )
+
+
 def encode_record(record: dict[str, Any]) -> bytes:
     """Frame one record: ``J1 <len> <crc> <payload>\\n``."""
-    payload = json.dumps(record, sort_keys=True).encode("utf-8")
+    payload = json.dumps(
+        record, sort_keys=True, default=_json_default
+    ).encode("utf-8")
     return b"%s%08x %08x %s\n" % (
         _MAGIC,
         len(payload),

@@ -18,6 +18,13 @@ Framing
     :class:`~repro.errors.TransportError`, never as garbled JSON
     handed to the application.
 
+    The payload is one message (:func:`encode_message`).  A message
+    without numpy arrays is its plain JSON text.  A message with
+    arrays — the router forwards a COO spec's ``rows`` and ``cols`` as
+    int64 arrays — is a *tagged* payload: a JSON header in which each
+    array is an ``{offset, count, dtype}`` reference, then the arrays'
+    raw bytes, so no integer is printed and parsed as decimal text.
+
 :class:`SocketServer`
     Accepts connections, reads frames, dispatches each request through
     the shared dispatcher, writes response frames.  Per-connection
@@ -62,6 +69,8 @@ import time
 import zlib
 from typing import Any, Callable
 
+import numpy as np
+
 from repro import telemetry as _tm
 from repro.errors import (
     PartitionedError,
@@ -71,11 +80,13 @@ from repro.errors import (
 )
 from repro.resilience.backoff import BackoffPolicy
 from repro.resilience.faults import FaultKind, FaultSpec, active_plan
-from repro.serve.daemon import Dispatcher, _run_daemon
+from repro.serve.daemon import Dispatcher, _error_response, _run_daemon
 
 __all__ = [
     "encode_frame",
     "read_frame",
+    "encode_message",
+    "decode_message",
     "parse_address",
     "SocketServer",
     "ResilientClient",
@@ -95,6 +106,23 @@ MAX_FRAME = 64 * 1024 * 1024
 #: Backend label the socket server uses when consulting the fault plan.
 NET_FAULT_LABEL = "net"
 
+#: Tag of a payload that carries arrays: ``A1 <header len:8 hex> ``,
+#: the JSON header, zero padding to an 8-byte boundary, then the arrays'
+#: bytes.  No JSON text starts with ``A``, so the tag cannot be mistaken
+#: for a plain payload.
+ARRAYS_MAGIC = b"A1 "
+
+#: ``b"A1 " + 8 hex len + b" "``.
+_ARRAYS_PREFIX = 12
+
+#: The header key of an array reference: ``{"$array": {"offset": ...,
+#: "count": ..., "dtype": "<i8"}}``, offset in bytes from the start of
+#: the array section.
+_ARRAY_REF = "$array"
+
+#: The one array type on the wire: little-endian int64, 1-D.
+_WIRE_DTYPE = np.dtype("<i8")
+
 
 def encode_frame(payload: bytes) -> bytes:
     """Wrap *payload* in a length-prefixed, checksummed frame."""
@@ -104,12 +132,127 @@ def encode_frame(payload: bytes) -> bytes:
             f" {MAX_FRAME}-byte limit"
         )
     crc = zlib.crc32(payload) & 0xFFFFFFFF
-    return (
-        FRAME_MAGIC
-        + f"{len(payload):08x} {crc:08x} ".encode("ascii")
-        + payload
-        + b"\n"
+    return b"".join(
+        (FRAME_MAGIC, b"%08x %08x " % (len(payload), crc), payload, b"\n")
     )
+
+
+def encode_message(msg: Any) -> bytes:
+    """Encode one protocol message as a frame payload.
+
+    A message without numpy arrays is ``json.dumps(msg)``, byte for
+    byte.  Each 1-D int64 array anywhere in *msg* becomes an
+    ``{"$array": {offset, count, dtype}}`` reference in a JSON header
+    that is followed by the arrays' little-endian bytes, back to back
+    in header order from an 8-byte boundary (see :data:`ARRAYS_MAGIC`).
+    Any other value JSON cannot encode, other arrays included, raises
+    ``TypeError`` as ``json.dumps`` does.
+    """
+    arrays: list[np.ndarray] = []
+    size = 0
+
+    def ref(value: Any) -> dict[str, Any]:
+        nonlocal size
+        if not (
+            isinstance(value, np.ndarray)
+            and value.ndim == 1
+            and value.dtype.kind == "i"
+            and value.dtype.itemsize == 8
+        ):
+            what = type(value).__name__
+            if isinstance(value, np.ndarray):
+                what += f" of dtype {value.dtype} and {value.ndim} dims"
+            raise TypeError(
+                f"Object of type {what} is not wire serializable; only"
+                f" JSON values and 1-D int64 arrays are"
+            )
+        arrays.append(value)
+        entry = {"offset": size, "count": value.shape[0], "dtype": "<i8"}
+        size += 8 * value.shape[0]
+        return {_ARRAY_REF: entry}
+
+    text = json.dumps(msg, default=ref).encode("utf-8")
+    if not arrays:
+        return text
+    pad = -(_ARRAYS_PREFIX + len(text)) % 8
+    return b"".join(
+        [ARRAYS_MAGIC, b"%08x " % len(text), text, bytes(pad)]
+        + [np.ascontiguousarray(a, dtype=_WIRE_DTYPE) for a in arrays]
+    )
+
+
+def decode_message(payload: bytes) -> Any:
+    """Decode one frame payload written by :func:`encode_message`.
+
+    A plain payload is parsed as JSON.  A tagged payload's arrays are
+    copied out of *payload*, so each is an owned, aligned, writable
+    native int64 array that does not keep the frame alive.  Invalid
+    or too deeply nested JSON, a short header, a reference that does not
+    start where the previous array ended or that runs past the end of
+    the payload, or a dtype other than ``"<i8"`` raise
+    :class:`~repro.errors.ServiceError`.
+    """
+    if not payload.startswith(ARRAYS_MAGIC):
+        try:
+            return json.loads(payload.decode("utf-8"))
+        except (ValueError, RecursionError) as exc:
+            # ValueError covers bad UTF-8 and bad JSON; RecursionError
+            # is nesting too deep for the parser.
+            raise ServiceError(f"payload is not valid JSON: {exc}") from None
+    try:
+        length = int(payload[3:11], 16)
+    except ValueError:
+        length = -1
+    if length < 0 or payload[11:12] != b" ":
+        raise ServiceError(
+            f"tagged payload has an unparsable header"
+            f" {payload[:_ARRAYS_PREFIX]!r}"
+        )
+    end = _ARRAYS_PREFIX + length
+    if end > len(payload):
+        raise ServiceError(
+            f"tagged payload is short: its header announces {length}"
+            f" bytes, {len(payload) - _ARRAYS_PREFIX} follow"
+        )
+    base = end + (-end % 8)
+    # The arrays follow one another in header order, so each byte is
+    # decoded at most once and the copies never outgrow the payload.
+    cursor = 0
+
+    def resolve(obj: dict[str, Any]) -> Any:
+        nonlocal cursor
+        if len(obj) != 1 or _ARRAY_REF not in obj:
+            return obj
+        ref = obj[_ARRAY_REF]
+        if not isinstance(ref, dict) or ref.get("dtype") != "<i8":
+            raise ServiceError(
+                f"array reference {ref!r} is not little-endian int64"
+                f" ('<i8')"
+            )
+        count = ref.get("count")
+        if type(count) is not int or count < 0 or ref.get("offset") != cursor:
+            raise ServiceError(
+                f"array reference {ref!r} is malformed: want a count >= 0"
+                f" at offset {cursor}, where the previous array ends"
+            )
+        start, cursor = base + cursor, cursor + 8 * count
+        if base + cursor > len(payload):
+            raise ServiceError(
+                f"array reference {ref!r} runs past the end of the"
+                f" {len(payload)}-byte payload"
+            )
+        return np.frombuffer(
+            payload, dtype=_WIRE_DTYPE, count=count, offset=start
+        ).astype(np.int64)
+
+    try:
+        return json.loads(
+            payload[_ARRAYS_PREFIX:end].decode("utf-8"), object_hook=resolve
+        )
+    except (ValueError, RecursionError) as exc:
+        raise ServiceError(
+            f"tagged payload header is not valid JSON: {exc}"
+        ) from None
 
 
 def _read_exactly(reader: Any, n: int) -> bytes:
@@ -379,7 +522,7 @@ class SocketServer:
 
         Returns False when the connection should be closed afterwards.
         """
-        payload = json.dumps(response).encode("utf-8")
+        payload = encode_message(response)
         spec = self._net_fault()
         kind = None if spec is None else FaultKind(spec.kind)
         if kind is FaultKind.DROP:
@@ -423,17 +566,10 @@ class SocketServer:
                 if payload is None:
                     return  # client finished
                 try:
-                    msg = json.loads(payload.decode("utf-8"))
-                except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                    msg = None
-                    response: dict[str, Any] = {
-                        "id": None,
-                        "ok": False,
-                        "error": "ServiceError",
-                        "message": f"request is not valid JSON: {exc}",
-                    }
-                    stop = False
-                if msg is not None:
+                    msg = decode_message(payload)
+                except ServiceError as exc:
+                    response, stop = _error_response(None, exc), False
+                else:
                     response, stop = self.dispatcher.handle(msg)
                 if _tm.enabled():
                     _tm.incr("serve.net.requests")
@@ -570,18 +706,16 @@ class ResilientClient:
         conn: socket.socket, reader: Any, msg: dict[str, Any]
     ) -> dict[str, Any]:
         """Send one frame and read one response on an open connection."""
-        conn.sendall(encode_frame(json.dumps(msg).encode("utf-8")))
+        conn.sendall(encode_frame(encode_message(msg)))
         payload = read_frame(reader)
         if payload is None:
             raise TransportError(
                 "server closed the connection without a response"
             )
         try:
-            response = json.loads(payload.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise TransportError(
-                f"response payload is not valid JSON: {exc}"
-            ) from None
+            response = decode_message(payload)
+        except ServiceError as exc:
+            raise TransportError(f"malformed response: {exc}") from None
         if not isinstance(response, dict):
             raise TransportError(
                 f"response must be a JSON object, got"

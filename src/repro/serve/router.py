@@ -16,6 +16,8 @@ fronts them behind one :meth:`Router.request` call:
   space.  The key is the daemon cache's own
   :func:`~repro.serve.daemon.graph_key`: a SHA-256 digest of an inline
   COO spec's arrays, canonical JSON for ``path`` and ``kind`` specs.
+  The router validates an inline COO spec once and forwards the int64
+  arrays behind its key, which the socket codec sends as raw bytes.
   Stream handles are namespaced ``"<node>:<handle>"`` on the way out
   and resolved back on the way in, pinning a session to the daemon
   holding its state.
@@ -54,7 +56,7 @@ from repro.errors import (
     StreamError,
     TransportError,
 )
-from repro.serve.daemon import graph_key
+from repro.serve.daemon import keyed_spec
 from repro.serve.net import ResilientClient
 from repro.serve.quota import TenantQuotas
 
@@ -78,6 +80,9 @@ _HANDLE_OPS = frozenset(
         "shard_close",
     }
 )
+
+#: Ops routed by the key of their ``graph`` spec.
+_GRAPH_OPS = frozenset({"match", "stream_open", "shard_open"})
 
 
 class RouterNode:
@@ -438,15 +443,17 @@ class Router:
                     )
                 node = self._node_by_name(name)
                 msg["handle"] = local
-            elif op in ("match", "stream_open"):
-                node = self._route(graph_key(msg.get("graph")))
-            elif op == "shard_open":
-                # Same graph, different shard index → different ring key,
-                # so a K-shard plan spreads across daemons instead of
-                # stacking K sessions on the spec's cache-affinity node.
-                node = self._route(
-                    f"{graph_key(msg.get('graph'))}#{msg.get('index')}"
-                )
+            elif op in _GRAPH_OPS:
+                # The key's validated int64 arrays ride the wire as raw
+                # bytes in place of the caller's lists (msg is a copy).
+                key, msg["graph"] = keyed_spec(msg.get("graph"))
+                if op == "shard_open":
+                    # Same graph, different shard index → different ring
+                    # key, so a K-shard plan spreads across daemons
+                    # instead of stacking K sessions on the spec's
+                    # cache-affinity node.
+                    key = f"{key}#{msg.get('index')}"
+                node = self._route(key)
             else:
                 node = self._route(msg["rid"])
             response = self._forward(node, msg, deadline)

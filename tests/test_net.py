@@ -5,6 +5,11 @@ Everything here carries the ``net`` marker (``pytest -m net``, CI's
 
 * frame encode/decode rejects truncation, bad magic, and checksum
   mismatches with typed :class:`~repro.errors.TransportError`;
+* the message codec sends a message without arrays as plain JSON, byte
+  for byte, round-trips int64 arrays as raw bytes, and answers a
+  malformed tagged payload with a typed in-band ``ServiceError``;
+* the router forwards a COO spec's validated arrays under the same
+  graph key, leaving the caller's spec untouched;
 * :class:`~repro.serve.net.ResilientClient` retries transport faults
   under its idempotency id — a retry after a dropped ack must NOT
   re-apply the mutation, in-process or across journal recovery;
@@ -20,9 +25,11 @@ Everything here carries the ``net`` marker (``pytest -m net``, CI's
 import io
 import json
 import os
+import socket
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro.errors import (
@@ -45,7 +52,9 @@ from repro.serve.daemon import (
 from repro.serve.net import (
     ResilientClient,
     SocketServer,
+    decode_message,
     encode_frame,
+    encode_message,
     parse_address,
     read_frame,
 )
@@ -104,6 +113,150 @@ def test_oversized_length_fails_before_allocation():
 def test_bad_addresses_fail_typed(bad):
     with pytest.raises(ServiceError):
         parse_address(bad)
+
+
+# ---------------------------------------------------------------------------
+# message codec
+
+COO = {"nrows": 3, "ncols": 3, "rows": [0, 1, 2], "cols": [2, 0, 1]}
+
+
+@pytest.mark.parametrize(
+    "msg",
+    [
+        {"op": "health", "id": 1},
+        {"op": "match", "graph": COO, "seed": 7, "rid": "c:1"},
+        {"op": "match", "graph": GRAPH, "deadline": 0.5, "note": "\u00e9"},
+        [1, "two", None],
+    ],
+)
+def test_message_without_arrays_is_plain_json(msg):
+    assert encode_message(msg) == json.dumps(msg).encode("utf-8")
+    assert decode_message(encode_message(msg)) == msg
+
+
+@pytest.mark.parametrize("count", [0, 1, 7, 300_001])
+def test_int64_arrays_roundtrip_as_owned_aligned_copies(count):
+    rng = np.random.default_rng(count)
+    values = rng.integers(-(2**62), 2**62, count)
+    msg = {
+        "op": "match",
+        "graph": {"nrows": count, "rows": values, "cols": values[::-1]},
+        "nested": {"deeper": [values[: count // 2], {"x": 1}]},
+    }
+    out = decode_message(encode_message(msg))
+    assert out["op"] == "match" and out["nested"]["deeper"][1] == {"x": 1}
+    arrays = [
+        (out["graph"]["rows"], values),
+        (out["graph"]["cols"], values[::-1]),
+        (out["nested"]["deeper"][0], values[: count // 2]),
+    ]
+    for got, want in arrays:
+        assert got.dtype == np.int64 and got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
+        assert got.flags.owndata and got.flags.aligned and got.flags.writeable
+
+
+def test_other_arrays_are_not_wire_serializable():
+    with pytest.raises(TypeError, match="not wire serializable"):
+        encode_message({"dr": np.ones(3)})
+    with pytest.raises(TypeError, match="not wire serializable"):
+        encode_message({"m": np.zeros((2, 2), dtype=np.int64)})
+
+
+def _tagged(header, data=b""):
+    text = json.dumps(header).encode()
+    pad = -(12 + len(text)) % 8
+    return b"A1 %08x " % len(text) + text + bytes(pad) + data
+
+
+_REF = {"offset": 0, "count": 2, "dtype": "<i8"}
+MALFORMED = {
+    "short header": b"A1 00000100 {}",
+    "unparsable header": b"A1 zzzzzzzz {}",
+    "header not JSON": b"A1 00000002 {{",
+    "past the end": _tagged({"rows": {"$array": _REF}}, bytes(8)),
+    "big-endian dtype": _tagged(
+        {"rows": {"$array": {**_REF, "dtype": ">i8"}}}, bytes(16)
+    ),
+    "float dtype": _tagged(
+        {"rows": {"$array": {**_REF, "dtype": "<f8"}}}, bytes(16)
+    ),
+    "negative count": _tagged(
+        {"rows": {"$array": {**_REF, "count": -1}}}, bytes(16)
+    ),
+    "gap before an array": _tagged(
+        {"rows": {"$array": {**_REF, "offset": 8}}}, bytes(24)
+    ),
+    # Two references to the same bytes would decode them twice.
+    "overlapping arrays": _tagged(
+        {"rows": {"$array": _REF}, "cols": {"$array": _REF}}, bytes(32)
+    ),
+    # Plain, but too deep for the parser (a RecursionError inside json).
+    "nested too deeply": b"[" * 100_000 + b"]" * 100_000,
+}
+
+
+def _raw_exchange(address, payloads):
+    """Send each payload as one frame on ONE connection; decode replies."""
+    family, sockaddr = parse_address(address)
+    with socket.socket(family, socket.SOCK_STREAM) as conn:
+        conn.settimeout(10.0)
+        conn.connect(sockaddr)
+        reader = conn.makefile("rb")
+        replies = []
+        for payload in payloads:
+            conn.sendall(encode_frame(payload))
+            replies.append(json.loads(read_frame(reader)))
+        reader.close()
+    return replies
+
+
+def test_malformed_payloads_get_typed_errors_and_connection_lives(
+    socket_stack,
+):
+    for payload in MALFORMED.values():
+        with pytest.raises(ServiceError):
+            decode_message(payload)
+    _, front, _ = socket_stack
+    health = json.dumps({"op": "health", "id": "h"}).encode()
+    payloads = []
+    for kind in sorted(MALFORMED):
+        payloads += [MALFORMED[kind], health]
+    replies = _raw_exchange(front.address, payloads)
+    for kind, bad, good in zip(sorted(MALFORMED), replies[::2], replies[1::2]):
+        assert bad["ok"] is False and bad["error"] == "ServiceError", kind
+        assert good["ok"] and good["id"] == "h", kind
+
+
+def test_raw_plain_json_frames_are_served(socket_stack):
+    _, front, _ = socket_stack
+    match = {"op": "match", "graph": COO, "seed": 1, "id": 9}
+    replies = _raw_exchange(
+        front.address,
+        [json.dumps({"op": "health", "id": 8}).encode(),
+         json.dumps(match).encode()],
+    )
+    assert replies[0]["ok"] and replies[0]["id"] == 8
+    assert replies[1]["ok"] and replies[1]["id"] == 9
+    assert replies[1]["cardinality"] == 3
+
+
+def test_array_spec_matches_like_its_list_form(socket_stack):
+    _, _, client = socket_stack
+    rng = np.random.default_rng(3)
+    rows, cols = rng.integers(0, 80, 320), rng.integers(0, 80, 320)
+    lists = {"nrows": 80, "ncols": 80,
+             "rows": rows.tolist(), "cols": cols.tolist()}
+    arrays = {**lists, "rows": rows, "cols": cols}
+    keep = ("cardinality", "rung", "guarantee", "row_match")
+    answers = [
+        {k: client.request({"op": "match", "graph": g, "seed": 4})[k]
+         for k in keep}
+        for g in (lists, arrays)
+    ]
+    assert answers[0] == answers[1]
+    assert graph_key(lists) == graph_key(arrays)
 
 
 # ---------------------------------------------------------------------------
@@ -551,6 +704,51 @@ def test_router_routes_graphs_by_graph_key(tmp_path, monkeypatch):
         json.dumps(GRAPH, sort_keys=True),
         json.dumps(malformed, sort_keys=True),
     ]
+
+
+def test_router_forwards_validated_arrays_and_leaves_caller_spec(
+    tmp_path, monkeypatch
+):
+    # Routing only: the daemons are never started, the forward is stubbed.
+    import copy
+
+    from repro.serve.router import Router
+
+    router = Router(2, str(tmp_path / "rt"), health_interval=0.0)
+    sent = []
+    monkeypatch.setattr(
+        router,
+        "_forward",
+        lambda node, msg, deadline: sent.append(msg) or {"ok": True},
+    )
+    coo = {"nrows": 3, "ncols": 3, "rows": [0, 1, 2], "cols": [2, 0, 1],
+           "label": "kept"}
+    malformed = {**coo, "rows": [0]}
+    msgs = [
+        {"op": "match", "graph": coo, "seed": 1},
+        {"op": "stream_open", "graph": coo},
+        {"op": "shard_open", "graph": coo, "index": 0, "n_shards": 2},
+        {"op": "match", "graph": malformed},
+        {"op": "match", "graph": GRAPH},
+    ]
+    before = copy.deepcopy(msgs)
+    rows_list = coo["rows"]
+    for msg in msgs:
+        router.request(msg)
+    assert msgs == before and coo["rows"] is rows_list
+    assert all(type(m["graph"]["rows"]) is list
+               for m in msgs if "rows" in m["graph"])
+    for msg in sent[:3]:
+        spec = msg["graph"]
+        assert spec["label"] == "kept" and spec["nrows"] == 3
+        for field in ("rows", "cols"):
+            assert isinstance(spec[field], np.ndarray)
+            assert spec[field].dtype == np.int64
+            assert spec[field].tolist() == coo[field]
+        assert graph_key(spec) == graph_key(coo)
+    # An invalid or non-COO spec is forwarded as it came.
+    assert sent[3]["graph"] is malformed
+    assert sent[4]["graph"] is GRAPH
 
 
 def test_serve_listen_cli_roundtrip(tmp_path):

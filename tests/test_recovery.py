@@ -394,6 +394,96 @@ def test_journaled_registry_recovers_acked_rematch(tmp_path):
     assert again._last_ack["s1"] == acked
 
 
+def _coo_spec(n, seed):
+    rng = np.random.default_rng(seed)
+    return {"nrows": n, "ncols": n,
+            "rows": rng.integers(0, n, 4 * n).tolist(),
+            "cols": rng.integers(0, n, 4 * n).tolist()}
+
+
+def _masked_payloads(directory, rids):
+    """The journal's record payloads with each request id masked."""
+    _, _, wal = latest_generation(directory)
+    with open(wal, "rb") as fh:
+        payloads = [line[21:] for line in fh]
+    for rid in rids:
+        needle = json.dumps(rid).encode()
+        payloads = [p.replace(needle, b'"<rid>"') for p in payloads]
+    return payloads
+
+
+def test_routed_open_journals_the_bytes_of_a_direct_open(tmp_path):
+    """The router forwards a COO spec's rows and cols as int64 arrays;
+    the daemon must journal the same ``open`` and ``shard_open`` bytes
+    as for a client that sent the lists straight to it, and recover to
+    the same certificate."""
+    from repro.serve.router import Router
+
+    spec = _coo_spec(300, seed=5)
+    opening = {"graph": spec, "target_quality": 0.55, "seed": 3}
+    sharding = {"graph": spec, "n_shards": 2, "index": 1}
+    with Router(
+        1, str(tmp_path / "rt"), backend="serial", health_interval=0.0
+    ) as router:
+        routed = [
+            router.request({"op": "stream_open", **opening}),
+            router.request({"op": "rematch", "handle": "n0:s1"}),
+            router.request({"op": "shard_open", **sharding}),
+        ]
+    assert spec == _coo_spec(300, seed=5)  # the caller's lists, untouched
+
+    direct = _StreamRegistry(8, "serial", journal=DurableLog(tmp_path / "d"))
+    cache = GraphCache(4)
+    direct.open({**opening, "rid": "d1"}, cache)
+    direct.rematch({"handle": "s1", "rid": "d2"})
+    direct.shard_open({**sharding, "rid": "d3"}, cache)
+    direct.journal.close()
+
+    routed_records = _masked_payloads(
+        # The router's rid doubles as the response id.
+        tmp_path / "rt" / "j0", [r["id"] for r in routed]
+    )
+    direct_records = _masked_payloads(tmp_path / "d", ["d1", "d2", "d3"])
+    assert len(routed_records) == 3
+    assert [json.loads(r)["op"] for r in routed_records] == [
+        "open", "rematch", "shard_open"
+    ]
+    assert routed_records == direct_records
+
+    recovered = [
+        recover_registry(tmp_path / sub, attach_journal=False)[0]
+        for sub in ("rt/j0", "d")
+    ]
+    acked = {k: routed[1][k] for k in direct._last_ack["s1"]}
+    assert acked == direct._last_ack["s1"]
+    for registry in recovered:
+        assert registry._last_ack["s1"] == acked
+        assert registry._shards["s2"].export_state() == (
+            direct._shards["s2"].export_state()
+        )
+
+
+def test_checkpoint_writes_an_array_spec_as_its_lists(tmp_path):
+    """A shard session keeps the spec it was opened with; after a routed
+    open that spec holds int64 arrays, and a checkpoint of it must be
+    the checkpoint of the list spec."""
+    spec = _coo_spec(120, seed=2)
+    arrays = {**spec, "rows": np.asarray(spec["rows"]),
+              "cols": np.asarray(spec["cols"])}
+    registry = _StreamRegistry(
+        8, None, journal=DurableLog(tmp_path, checkpoint_every=1)
+    )
+    registry.shard_open(
+        {"graph": arrays, "n_shards": 2, "index": 0}, GraphCache(4)
+    )
+    registry.journal.close()
+    generation, ckpt, _ = latest_generation(tmp_path)
+    assert generation == 1 and ckpt is not None
+    assert read_snapshot(ckpt)["shards"]["s1"]["graph"] == spec
+    recovered, _ = recover_registry(tmp_path, attach_journal=False)
+    assert recovered._shards["s1"].export_state()["graph"] == spec
+
+
 # -- the supervisor ----------------------------------------------------
 
 _PROBE = (

@@ -813,3 +813,12 @@ def test_fresh_connection_mode_is_unchanged(tmp_path):
             client.close()  # harmless no-op without keepalive
         server.close()
     assert reg.counter("serve.net.client_conn_reuses").value == 0
+
+
+def test_cli_check_compares_a_positive_guarantee(capsys):
+    from repro.__main__ import main
+
+    assert main(["shard", "--check", "--n", "4000"]) == 0
+    out = capsys.readouterr().out
+    guarantee = float(out.split("guarantee    :")[1].split()[0])
+    assert guarantee > 0 and "bitwise-identical" in out

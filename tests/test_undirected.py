@@ -58,6 +58,62 @@ class TestValidation:
         with pytest.raises(MatchingError):
             validate_undirected_matching(g, UndirectedMatching(mate))
 
+    def test_non_edge_after_many_valid_pairs_rejected(self):
+        g = sprand_symmetric(400, 4.0, seed=0)
+        mate = one_sided_match_undirected(g, 3, seed=1).mate.copy()
+        free = np.flatnonzero(mate == NIL)
+        pairs = [
+            (int(a), int(b))
+            for i, a in enumerate(free)
+            for b in free[i + 1:]
+            if not g.has_edge(int(a), int(b))
+        ]
+        assert np.count_nonzero(mate != NIL) > 100 and pairs
+        a, b = pairs[-1]
+        mate[a], mate[b] = b, a
+        with pytest.raises(
+            MatchingError, match=rf"pair \({a}, {b}\) is not an edge"
+        ):
+            validate_undirected_matching(g, UndirectedMatching(mate))
+
+    def test_same_verdict_as_a_loop_over_pairs(self):
+        def reference(g, mate):
+            n = mate.shape[0]
+            for u in np.flatnonzero(mate != NIL):
+                v = int(mate[u])
+                if not 0 <= v < n:
+                    return f"vertex {u} matched to {v}, outside [0, {n})"
+                if v == u:
+                    return f"vertex {u} matched to itself"
+                if int(mate[v]) != u:
+                    return f"match of {u} and {v} is not mutual"
+                if not g.has_edge(int(u), v):
+                    return f"matched pair ({u}, {v}) is not an edge"
+            return None
+
+        rng = np.random.default_rng(7)
+        g = sprand_symmetric(60, 3.0, seed=2)
+        valid = one_sided_match_undirected(g, 3, seed=0).mate
+        for trial in range(200):
+            mate = valid.copy()
+            for _ in range(1 + trial % 3):
+                mate[rng.integers(60)] = rng.integers(-2, 62)
+            want = reference(g, mate)
+            if want is None:
+                validate_undirected_matching(g, UndirectedMatching(mate))
+                continue
+            with pytest.raises(MatchingError) as err:
+                validate_undirected_matching(g, UndirectedMatching(mate))
+            assert str(err.value) == want
+
+    @pytest.mark.parametrize("partner", [10, 99, -2])
+    def test_partner_out_of_range_rejected(self, partner):
+        g = sprand_symmetric(10, 4.0, seed=0)
+        mate = np.full(10, NIL, dtype=np.int64)
+        mate[3] = partner
+        with pytest.raises(MatchingError, match="outside"):
+            validate_undirected_matching(g, UndirectedMatching(mate))
+
     def test_asymmetric_input_rejected(self):
         g = sprand(30, 3.0, seed=0)  # almost surely asymmetric
         from repro.scaling.symmetric import is_pattern_symmetric
