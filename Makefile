@@ -28,7 +28,7 @@ chaos-smoke:
 	timeout 300 $(PYTHON) -m repro chaos --smoke
 
 serve:
-	$(PYTHON) -m repro serve
+	$(PYTHON) -m repro serve --listen tcp:127.0.0.1:0
 
 serve-soak:
 	timeout 600 $(PYTHON) -m repro serve --soak 200 --overload 2 --chaos

@@ -360,7 +360,7 @@ def run_workloads(smoke: bool, backend_spec: str = "serial") -> dict[str, dict]:
     import shutil
     import tempfile
 
-    from repro.serve.daemon import GraphCache, _StreamRegistry
+    from repro.serve.daemon import _StreamRegistry
     from repro.serve.journal import DurableLog
     from repro.serve.recovery import recover_registry
 
@@ -374,9 +374,7 @@ def run_workloads(smoke: bool, backend_spec: str = "serial") -> dict[str, dict]:
         rng = np.random.default_rng(7)
         batch = max(8, n // 100)
         t0 = time.perf_counter()
-        registry.open(
-            {"graph": spec, "target_quality": 0.55, "seed": 0}, GraphCache(8)
-        )
+        registry.open({"graph": spec, "target_quality": 0.55, "seed": 0})
         registry.rematch({"handle": "s1"})
         for _ in range(2 if smoke else 3):
             registry.update(
@@ -391,7 +389,7 @@ def run_workloads(smoke: bool, backend_spec: str = "serial") -> dict[str, dict]:
 
         t0 = time.perf_counter()
         recovered, recovery_report = recover_registry(
-            journal_dir, cache=GraphCache(8), attach_journal=False
+            journal_dir, attach_journal=False
         )
         replay_seconds = time.perf_counter() - t0
         if recovered._last_ack["s1"] != registry._last_ack["s1"]:
@@ -429,9 +427,7 @@ def run_workloads(smoke: bool, backend_spec: str = "serial") -> dict[str, dict]:
     net_dir = tempfile.mkdtemp(prefix="repro-bench-net-")
     try:
         with MatchingServer("serial") as net_server:
-            dispatcher = Dispatcher(
-                net_server, GraphCache(4), _StreamRegistry(2, "serial")
-            )
+            dispatcher = Dispatcher(net_server, _StreamRegistry(2, "serial"))
             with SocketServer(
                 dispatcher, f"unix:{net_dir}/bench.sock", deadline=30.0
             ) as front:

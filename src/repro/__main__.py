@@ -11,9 +11,9 @@ Subcommands::
     python -m repro telemetry <file.mtx> [--method two-sided] [--trace]
                               [--jsonl trace.jsonl]
     python -m repro chaos    [--n 600] [--deadline 0.3] [--smoke]
-    python -m repro serve    [--backend shm:4] [--soak 200] [--overload 2]
-                             [--chaos] [--graph-cache-cap 32]
-                             [--max-streams 8] [--listen unix:/tmp/d.sock]
+    python -m repro serve    (--listen unix:/tmp/d.sock | --soak 200)
+                             [--backend shm:4] [--overload 2] [--chaos]
+                             [--max-streams 8] [--journal DIR [--recover]]
     python -m repro route    [--daemons 3] [--requests 60] [--kill-one]
     python -m repro stream   [--n 10000] [--churn 0.01] [--batches 3]
                              [--target 0.6] [--smoke]
@@ -245,71 +245,40 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
-    """Run the matching service: JSON-lines daemon or soak mode.
+    """Run the matching service: socket daemon or soak mode.
 
-    Without ``--soak`` this reads JSON-lines requests from stdin until
-    EOF (see ``repro.serve.daemon``).  With ``--soak N`` it hammers an
-    in-process server with N requests at ``--overload`` times capacity
-    and exits 1 if the service contract is violated; ``--chaos`` adds a
-    fault storm underneath.  ``--backend`` defaults from the
-    ``REPRO_BACKEND`` environment variable (serial when unset).
+    With ``--listen ADDR`` this serves the daemon protocol on a socket
+    until a ``shutdown`` op (see ``repro.serve.net``).  With ``--soak
+    N`` it hammers an in-process server with N requests at
+    ``--overload`` times capacity and exits 1 if the service contract is
+    violated; ``--chaos`` adds a fault storm underneath.  ``--backend``
+    defaults from the ``REPRO_BACKEND`` environment variable (serial
+    when unset).
     """
     import os
 
-    from repro.serve import ServerConfig, run_soak, serve_forever
+    from repro.serve import ServerConfig, run_soak
 
     backend = args.backend
     if backend is None:
         backend = os.environ.get("REPRO_BACKEND") or None
     if args.soak is None:
-        if args.listen:
-            import json as _json
+        import json as _json
 
-            from repro.serve.net import serve_listen
+        from repro.serve.net import serve_listen
 
-            def _ready(address: str) -> None:
-                print(_json.dumps({"event": "serve.listening",
-                                   "address": address}), flush=True)
+        def _ready(address: str) -> None:
+            print(_json.dumps({"event": "serve.listening",
+                               "address": address}), flush=True)
 
-            return serve_listen(
-                args.listen,
-                backend,
-                graph_cache_cap=args.graph_cache_cap,
-                max_streams=args.max_streams,
-                journal_dir=args.journal,
-                recover=args.recover,
-                checkpoint_every=args.checkpoint_every,
-                acked_cap=args.acked_cap,
-                ready=_ready,
-            )
-        if args.supervise and args.journal:
-            import sys as _sys
-
-            from repro.serve.recovery import supervise
-
-            child = [
-                _sys.executable, "-m", "repro", "serve",
-                "--journal", args.journal,
-                "--checkpoint-every", str(args.checkpoint_every),
-                "--max-streams", str(args.max_streams),
-            ]
-            if args.backend:
-                child += ["--backend", args.backend]
-            if args.recover:
-                child.append("--recover")
-            return supervise(
-                child,
-                journal_dir=args.journal,
-                max_restarts=args.supervise,
-            )
-        return serve_forever(
+        return serve_listen(
+            args.listen,
             backend,
-            graph_cache_cap=args.graph_cache_cap,
             max_streams=args.max_streams,
             journal_dir=args.journal,
             recover=args.recover,
             checkpoint_every=args.checkpoint_every,
-            acked_cap=args.acked_cap,
+            ready=_ready,
         )
     config = ServerConfig(
         default_deadline=args.deadline,
@@ -643,13 +612,22 @@ def main(argv: list[str] | None = None) -> int:
 
     p_serve = sub.add_parser(
         "serve",
-        help="matching service: JSON-lines daemon, or --soak N overload test",
+        help="matching service: socket daemon (--listen ADDR), or "
+             "--soak N overload test",
     )
     p_serve.add_argument(
         "--backend", default=None,
         help="backend spec (e.g. shm:4); default: $REPRO_BACKEND or serial",
     )
-    p_serve.add_argument(
+    serve_mode = p_serve.add_mutually_exclusive_group(required=True)
+    serve_mode.add_argument(
+        "--listen", default=None, metavar="ADDR",
+        help="daemon mode: serve the daemon protocol on a socket, "
+             "'unix:/path.sock' or 'tcp:host:port' (tcp port 0 picks an "
+             "ephemeral port; the bound address is printed as a JSON "
+             "'serve.listening' line)",
+    )
+    serve_mode.add_argument(
         "--soak", type=int, default=None, metavar="N",
         help="soak mode: submit N requests at --overload x capacity, "
              "audit the service contract, exit 1 on violation",
@@ -670,10 +648,6 @@ def main(argv: list[str] | None = None) -> int:
                          dest="max_queue")
     p_serve.add_argument("--seed", type=int, default=0)
     p_serve.add_argument(
-        "--graph-cache-cap", type=int, default=32, dest="graph_cache_cap",
-        help="LRU cap on the daemon's spec->graph cache",
-    )
-    p_serve.add_argument(
         "--max-streams", type=int, default=8, dest="max_streams",
         help="max concurrently open dynamic-graph handles (daemon mode)",
     )
@@ -690,23 +664,6 @@ def main(argv: list[str] | None = None) -> int:
     p_serve.add_argument(
         "--checkpoint-every", type=int, default=64, dest="checkpoint_every",
         help="checkpoint the stream registry every N journal records",
-    )
-    p_serve.add_argument(
-        "--supervise", type=int, default=0, metavar="N",
-        help="watchdog mode: respawn a crashed daemon up to N times, "
-             "recovering from --journal DIR each time",
-    )
-    p_serve.add_argument(
-        "--acked-cap", type=int, default=1024, dest="acked_cap",
-        help="LRU cap on the acknowledged-request replay cache "
-             "(idempotent retries of evicted ids re-execute)",
-    )
-    p_serve.add_argument(
-        "--listen", default=None, metavar="ADDR",
-        help="serve the daemon protocol over a socket instead of stdio: "
-             "'unix:/path.sock' or 'tcp:host:port' (tcp port 0 picks an "
-             "ephemeral port; the bound address is printed as a JSON "
-             "'serve.listening' line)",
     )
     p_serve.set_defaults(fn=cmd_serve)
 

@@ -79,9 +79,7 @@ Entry points: :func:`run_chaos` (used by the ``chaos``-marked tests),
 
 from __future__ import annotations
 
-import io
 import itertools
-import json
 import os
 import tempfile
 import time
@@ -349,7 +347,7 @@ def _recovery(schedule: str, plan: FaultPlan, *, n: int, seed: int) -> str:
     each record's stored acknowledgment, and recertification re-proves
     each session's §3.3 certificate.
     """
-    from repro.serve.daemon import JOURNAL_POISONED_EXIT, serve_forever
+    from repro.serve.daemon import JOURNAL_POISONED_EXIT, _run_script
     from repro.serve.journal import latest_generation
     from repro.serve.recovery import recover_registry
 
@@ -365,15 +363,12 @@ def _recovery(schedule: str, plan: FaultPlan, *, n: int, seed: int) -> str:
          "remove": {"rows": [0], "cols": [1]}, "strict": False},
         {"id": 6, "op": "rematch", "handle": "s1"},
     ]
-    out = io.StringIO()
     with tempfile.TemporaryDirectory(
         prefix="repro-chaos-recovery-", ignore_cleanup_errors=True
     ) as tmpdir:
-        lines = "".join(json.dumps(r) + "\n" for r in requests)
         with injected_faults(plan):
-            code = serve_forever(
-                stdin=io.StringIO(lines),
-                stdout=out,
+            code, replies = _run_script(
+                requests,
                 journal_dir=tmpdir,
                 # Small enough that the final journal still holds several
                 # records (so mid-file corruption in ``divergence`` is
@@ -408,11 +403,7 @@ def _recovery(schedule: str, plan: FaultPlan, *, n: int, seed: int) -> str:
                 " records were dropped"
             )
         registry, report = recover_registry(tmpdir, attach_journal=False)
-    acked = [
-        msg
-        for msg in map(json.loads, out.getvalue().splitlines())
-        if msg.get("ok")
-    ]
+    acked = [msg for msg in replies if msg.get("ok")]
     if "s1" not in registry._sessions:
         raise AssertionError("recovered registry lost session 's1'")
     graph, _ = registry._sessions["s1"]
@@ -456,7 +447,7 @@ def _net(schedule: str, plan: FaultPlan, *, n: int, seed: int) -> str:
     request ids exist to prevent.
     """
     from repro.resilience.backoff import BackoffPolicy
-    from repro.serve.daemon import Dispatcher, GraphCache, _StreamRegistry
+    from repro.serve.daemon import Dispatcher, _StreamRegistry
     from repro.serve.net import ResilientClient, SocketServer
     from repro.serve.server import MatchingServer
 
@@ -464,9 +455,7 @@ def _net(schedule: str, plan: FaultPlan, *, n: int, seed: int) -> str:
     with tempfile.TemporaryDirectory(
         prefix="repro-chaos-net-", ignore_cleanup_errors=True
     ) as tmpdir, MatchingServer("serial") as server:
-        dispatcher = Dispatcher(
-            server, GraphCache(8), _StreamRegistry(4, "serial")
-        )
+        dispatcher = Dispatcher(server, _StreamRegistry(4, "serial"))
         address = f"unix:{os.path.join(tmpdir, 'net.sock')}"
         with injected_faults(plan), SocketServer(
             dispatcher, address, deadline=10.0
@@ -517,7 +506,7 @@ def _net(schedule: str, plan: FaultPlan, *, n: int, seed: int) -> str:
 
 def _failover(schedule: str, plan: FaultPlan, *, n: int, seed: int) -> str:
     """``failover`` body: a router soak against an uninterrupted replica."""
-    from repro.serve.daemon import GraphCache, _StreamRegistry
+    from repro.serve.daemon import _StreamRegistry
     from repro.serve.router import Router
 
     opening = {
@@ -552,7 +541,7 @@ def _failover(schedule: str, plan: FaultPlan, *, n: int, seed: int) -> str:
     # The same script on an in-process registry that never fails:
     # bitwise-equal transcripts are the zero-acked-loss proof.
     registry = _StreamRegistry(4, "serial")
-    replica_handle = registry.open(opening, GraphCache(4))["handle"]
+    replica_handle = registry.open(opening)["handle"]
     for step, op in enumerate(script):
         apply = registry.update if op["op"] == "update" else registry.rematch
         want = dict(apply({**op, "handle": replica_handle}))

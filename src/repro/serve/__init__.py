@@ -11,39 +11,32 @@ Entry points:
 * :class:`MatchingServer` — in-process server (``submit`` /
   ``submit_async``, ``health``/``ready`` probes, ``drain``).
 * :func:`run_soak` — overload/chaos soak harness with contract audit.
-* :func:`serve_forever` — stdin/stdout JSON-lines daemon
-  (``python -m repro serve``).
-* :class:`DurableLog` / :func:`recover_registry` / :func:`supervise` —
-  write-ahead journal, checkpoint/restore and the crash-recovery path
-  (``python -m repro serve --journal DIR`` / ``--recover``).
-* :class:`SocketServer` / :class:`ResilientClient` /
-  :func:`serve_listen` — the network front: framed unix/TCP transport
-  with a retrying, idempotent client
+* :func:`serve_listen` / :class:`SocketServer` / :class:`ResilientClient`
+  — the daemon and its one front: framed unix/TCP transport with a
+  retrying, idempotent client
   (``python -m repro serve --listen unix:/tmp/d.sock``).
+  :class:`Dispatcher` serves the protocol's ops, which
+  :data:`~repro.serve.daemon.OPS` lists once for dispatch, routing and
+  journal replay.
+* :class:`DurableLog` / :func:`recover_registry` — write-ahead journal,
+  checkpoint/restore and the crash-recovery path
+  (``serve --listen ADDR --journal DIR`` / ``--recover``).
 * :class:`Router` / :class:`TenantQuotas` — N supervised daemons behind
   consistent-hash routing, per-tenant admission quotas, and
-  journal-recovery failover (``python -m repro route --daemons 3``).
+  journal-recovery failover (``python -m repro route --daemons 3``);
+  the router is the one supervisor.
 
 See ``docs/serving.md`` for the architecture.
 """
 
 from repro.serve.admission import AdmissionQueue
 from repro.serve.breaker import BreakerState, CircuitBreaker
-from repro.serve.daemon import (
-    BROKEN_PIPE_EXIT,
-    JOURNAL_POISONED_EXIT,
-    Dispatcher,
-    serve_forever,
-)
+from repro.serve.daemon import JOURNAL_POISONED_EXIT, Dispatcher
 from repro.serve.journal import DurableLog, JournalScan, scan_journal
 from repro.serve.net import ResilientClient, SocketServer, serve_listen
 from repro.serve.quota import TenantQuotas
 from repro.serve.router import Router, RouterNode
-from repro.serve.recovery import (
-    RecoveryReport,
-    recover_registry,
-    supervise,
-)
+from repro.serve.recovery import RecoveryReport, recover_registry
 from repro.serve.server import (
     RUNG_GUARANTEES,
     RUNGS,
@@ -58,7 +51,6 @@ from repro.serve.soak import SoakReport, run_soak
 __all__ = [
     "AdmissionQueue",
     "BreakerState",
-    "BROKEN_PIPE_EXIT",
     "CircuitBreaker",
     "Dispatcher",
     "DurableLog",
@@ -73,7 +65,6 @@ __all__ = [
     "recover_registry",
     "scan_journal",
     "serve_listen",
-    "supervise",
     "MatchRequest",
     "MatchResponse",
     "MatchingServer",
@@ -83,5 +74,4 @@ __all__ = [
     "SoakReport",
     "rung_for_pressure",
     "run_soak",
-    "serve_forever",
 ]

@@ -1,13 +1,14 @@
-"""JSON-lines daemon: ``python -m repro serve`` over stdin/stdout.
+"""The daemon protocol: its op table, graph specs and dispatcher.
 
-One request per input line, one JSON response per line, in request
-order (each tagged with the request's ``id``).  The protocol is
-deliberately tiny — it exists so the service can be driven from any
-language or from a shell pipe, not to be a real RPC layer; in-process
-callers wanting concurrency use :class:`~repro.serve.MatchingServer`
-directly via ``submit_async``.
+A daemon answers each request object with one response object, tagged
+with the request's ``id``.  The socket front
+(:func:`~repro.serve.net.serve_listen`, ``python -m repro serve
+--listen``) carries both as framed messages, and the
+:class:`~repro.serve.router.Router` supervises several daemons behind
+one call.  In-process callers wanting concurrency use
+:class:`~repro.serve.MatchingServer` directly via ``submit_async``.
 
-Requests (``op`` selects the operation)::
+Requests (``op`` selects the operation; :data:`OPS` lists every op)::
 
     {"id": 1, "op": "match", "graph": {...}, "iterations": 5,
      "seed": 7, "method": "auto", "deadline": 2.0}
@@ -28,10 +29,10 @@ Streaming requests work against a *handle* to a server-side
 ``StreamError`` when the graph has moved past the epoch the client
 thinks it is at, instead of silently answering for a newer state.
 
-Graph specs (``graph``) are cached by :func:`graph_key` (LRU-bounded —
-see *graph_cache_cap*), so a client can re-submit the same spec without
-rebuilding it server-side.  COO specs are keyed by a SHA-256 digest of
-their arrays, the others by their canonical JSON:
+Graph specs (``graph``) are cached by :func:`graph_key` (an LRU of
+:data:`GRAPH_CACHE_CAP` graphs), so a client can re-submit the same
+spec without rebuilding it server-side.  COO specs are keyed by a
+SHA-256 digest of their arrays, the others by their canonical JSON:
 
 * ``{"kind": "sprand", "n": 1000, "degree": 4.0, "seed": 0}``
 * ``{"kind": "union", "n": 1000, "k": 3, "seed": 0}``
@@ -42,19 +43,18 @@ their arrays, the others by their canonical JSON:
 Responses are ``{"id", "ok": true, ...}`` on success or
 ``{"id", "ok": false, "error": "<TypedErrorClass>", "message": ...}``.
 Match responses carry the matching's column-for-each-row array plus the
-rung / guarantee / degradation provenance.  EOF on stdin (or a
-``shutdown`` op) drains the server gracefully.
+rung / guarantee / degradation provenance.  A ``shutdown`` op drains
+the server gracefully.
 """
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import json
-import sys
 import threading
 from collections import OrderedDict
-from typing import IO, Any, Callable
+from dataclasses import dataclass
+from typing import Any, Callable
 
 import numpy as np
 
@@ -62,17 +62,74 @@ from repro import telemetry as _tm
 from repro.errors import ReproError, ServiceError, ShardError, StreamError
 from repro.graph.csr import BipartiteGraph
 from repro.parallel.backends import Backend, get_backend
-from repro.serve.server import MatchingServer, MatchRequest, ServerConfig
+from repro.serve.server import MatchingServer, MatchRequest
 
 __all__ = [
-    "serve_forever",
+    "OPS",
+    "Op",
+    "lookup_op",
     "build_graph",
     "graph_key",
     "Dispatcher",
     "GraphCache",
-    "BROKEN_PIPE_EXIT",
     "JOURNAL_POISONED_EXIT",
 ]
+
+#: Graphs a daemon keeps in its spec-key LRU cache.
+GRAPH_CACHE_CAP = 32
+
+#: Acknowledged responses a daemon keeps for idempotent retries.
+ACKED_CAP = 1024
+
+
+@dataclass(frozen=True)
+class Op:
+    """One wire op of the daemon protocol (see :data:`OPS`)."""
+
+    #: Where the router sends it: the ring owner of its graph key
+    #: (``"graph"``), of that key and its shard ``index`` (``"shard"``) or
+    #: of its rid (``"any"``), or its session's daemon (``"handle"``).
+    route: str
+    #: The :class:`_StreamRegistry` method serving it (``None``: the
+    #: dispatcher serves ``match``, ``health`` and ``shutdown`` itself).
+    method: str | None = None
+    #: Whether *method* journals, under its own name as the record's
+    #: ``op``; only these acks are kept for retries by request id.
+    journaled: bool = False
+
+
+#: Every op of the protocol, aliases included.  Dispatch, routing and
+#: journal replay all read this one table.  Methods are named, not
+#: stored, so they are looked up on the registry at call time.
+OPS: dict[str, Op] = {
+    "match": Op("graph"),
+    "health": Op("any"),
+    "shutdown": Op("any"),
+    "stream_open": Op("graph", "open", True),
+    "update": Op("handle", "update", True),
+    "stream_update": Op("handle", "update", True),
+    "rematch": Op("handle", "rematch", True),
+    "stream_rematch": Op("handle", "rematch", True),
+    "stream_close": Op("handle", "close", True),
+    "shard_open": Op("shard", "shard_open", True),
+    "shard_sweep": Op("handle", "shard_sweep"),
+    "shard_choices": Op("handle", "shard_choices"),
+    "shard_scan": Op("handle", "shard_scan"),
+    "shard_arm": Op("handle", "shard_arm", True),
+    "shard_commit": Op("handle", "shard_commit", True),
+    "shard_finish": Op("handle", "shard_finish", True),
+    "shard_close": Op("handle", "shard_close", True),
+}
+
+#: The registry methods a journal record may name.
+_JOURNALED = frozenset(op.method for op in OPS.values() if op.journaled)
+
+
+def lookup_op(msg: dict[str, Any]) -> tuple[Any, Op | None]:
+    """The op *msg* names (``match`` when it names none) and its entry
+    in :data:`OPS`, ``None`` for an op the protocol does not have."""
+    name = msg.get("op", "match")
+    return name, OPS.get(name) if isinstance(name, str) else None
 
 
 class GraphCache:
@@ -85,7 +142,7 @@ class GraphCache:
     needs, so a plain dict still works there too.
     """
 
-    def __init__(self, cap: int = 32) -> None:
+    def __init__(self, cap: int = GRAPH_CACHE_CAP) -> None:
         if cap < 1:
             raise ServiceError(f"graph cache cap must be >= 1, got {cap}")
         self.cap = int(cap)
@@ -293,24 +350,18 @@ def _floats(msg: dict[str, Any], field: str) -> np.ndarray:
     return np.asarray(value, dtype=np.float64)
 
 
-def _rid_field(msg: dict[str, Any]) -> dict[str, Any]:
-    """The journal-record fragment carrying a request's idempotency id.
-
-    Present only when the client sent one, so journals written by
-    rid-less clients are byte-identical to earlier releases.
-    """
-    rid = msg.get("rid")
-    return {} if rid is None else {"rid": str(rid)}
-
-
 class _StreamRegistry:
     """Server-side handles to dynamic graphs and their matchers.
+
+    Each method that serves an op (see :data:`OPS`) takes the request
+    as its one argument; graph specs are built through the registry's
+    :attr:`cache`, an LRU of :data:`GRAPH_CACHE_CAP` graphs.
 
     With a :class:`~repro.serve.journal.DurableLog` attached, every
     successful mutating op is journaled (and fsync'd) *before* its
     response is returned — the write-ahead discipline that makes an
     acknowledgment survive a crash.  A journal failure poisons the log;
-    the serve loop then stops so the supervisor can restart through
+    the daemon then stops so the router can restart it through
     :func:`~repro.serve.recovery.recover_registry`.
     """
 
@@ -324,6 +375,7 @@ class _StreamRegistry:
         self.max_streams = int(max_streams)
         self.backend = backend
         self.journal = journal
+        self.cache = GraphCache()
         self._sessions: dict[str, tuple[Any, Any]] = {}
         #: handle → ShardSession; shares the ``s<n>`` handle namespace and
         #: the *max_streams* budget with dynamic-graph sessions.
@@ -342,10 +394,19 @@ class _StreamRegistry:
         """True once the journal refused a write (state ahead of disk)."""
         return self.journal is not None and self.journal.poisoned is not None
 
-    def _journal_append(self, record: dict[str, Any]) -> None:
+    def _journal_append(
+        self, op: str, handle: Any, msg: dict[str, Any], /, **fields: Any
+    ) -> None:
+        """Journal *op*'s record: ``op``, ``handle``, the request's
+        idempotency id (only if it sent one, so a rid-less client's
+        journal matches earlier releases byte for byte), then *fields*
+        in order (``ack`` last)."""
         if self.journal is None:
             return
-        self.journal.append(record)
+        record = {"op": op, "handle": handle}
+        if msg.get("rid") is not None:
+            record["rid"] = str(msg["rid"])
+        self.journal.append({**record, **fields})
         if self.journal.should_checkpoint:
             from repro.serve.checkpoint import write_snapshot
 
@@ -393,85 +454,41 @@ class _StreamRegistry:
             h: dict(a) for h, a in state.get("last_ack", {}).items()
         }
 
-    def apply_record(self, record: dict[str, Any], cache: Any) -> None:
+    def apply_record(self, record: dict[str, Any]) -> None:
         """Replay one journal record, verifying it reproduces its ack.
 
-        Used by recovery with no journal attached; any divergence from
-        the recorded acknowledgment is a typed
+        The record's ``op`` names the journaled method that wrote it,
+        which is called with the record's fields (an ``update`` record's
+        ``msg`` merged in).  Used by recovery with no journal attached;
+        an op no journaled method has, a method that refuses the record
+        (say, a session past *max_streams*) or any divergence from the
+        recorded acknowledgment is a typed
         :class:`~repro.errors.RecoveryError` — the recovered state would
         not be the one the client saw.
         """
         from repro.errors import RecoveryError
 
         op = record.get("op")
+        if not isinstance(op, str) or op not in _JOURNALED:
+            raise RecoveryError(f"journal record has unknown op {op!r}")
         handle = record.get("handle")
-        rid = record.get("rid")
-        if op == "open":
-            response = self.open(
-                {
-                    "graph": record.get("graph"),
-                    "target_quality": record.get("target_quality", 0.55),
-                    "seed": record.get("seed"),
-                    "topup": record.get("topup", False),
-                    "exact": record.get("exact", False),
-                },
-                cache,
+        try:
+            response = getattr(self, op)({**record, **record.get("msg", {})})
+        except RecoveryError:
+            raise
+        except ReproError as exc:
+            raise RecoveryError(
+                f"replay of {op!r} on {handle!r} was refused:"
+                f" {type(exc).__name__}: {exc}"
+            ) from exc
+        if response.get("handle", handle) != handle:
+            raise RecoveryError(
+                f"replayed {op} produced handle {response['handle']!r},"
+                f" journal says {handle!r}"
             )
-            if response["handle"] != handle:
-                raise RecoveryError(
-                    f"replayed open produced handle {response['handle']!r},"
-                    f" journal says {handle!r}"
-                )
+        if op == "open":
             _, matcher = self._sessions[handle]
             matcher._rng.bit_generator.state = record["rng"]
-        elif op == "update":
-            response = self.update({"handle": handle, **record["msg"]})
-        elif op == "rematch":
-            response = self.rematch(
-                {"handle": handle, "cold": record.get("cold", False)}
-            )
-        elif op == "close":
-            response = self.close({"handle": handle})
-            if rid is not None:
-                self.replayed_acks[str(rid)] = dict(response)
-            return
-        elif op == "shard_open":
-            response = self.shard_open(
-                {
-                    "graph": record.get("graph"),
-                    "n_shards": record.get("n_shards"),
-                    "index": record.get("index"),
-                    "chunk_rows": record.get("chunk_rows"),
-                    "chunk_cols": record.get("chunk_cols"),
-                },
-                cache,
-            )
-            if response["handle"] != handle:
-                raise RecoveryError(
-                    f"replayed shard_open produced handle"
-                    f" {response['handle']!r}, journal says {handle!r}"
-                )
-        elif op == "shard_arm":
-            response = self.shard_arm(
-                {
-                    "handle": handle,
-                    "row_choice": record["row_choice"],
-                    "col_choice": record["col_choice"],
-                }
-            )
-        elif op == "shard_commit":
-            response = self.shard_commit(
-                {"handle": handle, "candidates": record.get("candidates", ())}
-            )
-        elif op == "shard_finish":
-            response = self.shard_finish({"handle": handle})
-        elif op == "shard_close":
-            response = self.shard_close({"handle": handle})
-            if rid is not None:
-                self.replayed_acks[str(rid)] = dict(response)
-            return
-        else:
-            raise RecoveryError(f"journal record has unknown op {op!r}")
         ack = record.get("ack", {})
         diverged = {
             key: (response.get(key), expected)
@@ -483,21 +500,29 @@ class _StreamRegistry:
                 f"replay of {op!r} on {handle!r} diverged from the"
                 f" acknowledged response: {diverged}"
             )
-        if rid is not None:
-            self.replayed_acks[str(rid)] = dict(response)
+        if record.get("rid") is not None:
+            self.replayed_acks[str(record["rid"])] = dict(response)
 
     # -- ops -----------------------------------------------------------
 
-    def open(self, msg: dict[str, Any], cache: Any) -> dict[str, Any]:
-        from repro.stream.dynamic import DynamicBipartiteGraph
-        from repro.stream.matcher import StreamMatcher
+    def _admit(self) -> None:
+        """Refuse a new session once *max_streams* sessions are open.
 
-        if len(self._sessions) >= self.max_streams:
+        Stream and shard sessions share the one budget, and journal
+        replay runs the same check.
+        """
+        if len(self._sessions) + len(self._shards) >= self.max_streams:
             raise StreamError(
                 f"stream limit reached ({self.max_streams} open);"
                 f" close a handle first"
             )
-        base = build_graph(msg.get("graph"), cache)
+
+    def open(self, msg: dict[str, Any]) -> dict[str, Any]:
+        from repro.stream.dynamic import DynamicBipartiteGraph
+        from repro.stream.matcher import StreamMatcher
+
+        self._admit()
+        base = build_graph(msg.get("graph"), self.cache)
         graph = DynamicBipartiteGraph(base)
         matcher = StreamMatcher(
             graph,
@@ -521,21 +546,18 @@ class _StreamRegistry:
             "nnz": graph.nnz,
         }
         self._journal_append(
-            {
-                "op": "open",
-                "handle": handle,
-                **_rid_field(msg),
-                "graph": msg.get("graph"),
-                "target_quality": float(msg.get("target_quality", 0.55)),
-                "seed": msg.get("seed"),
-                "topup": bool(msg.get("topup", False)),
-                "exact": bool(msg.get("exact", False)),
-                # The concrete generator state (seed may be None): replay
-                # restores it so recovered sessions draw identical
-                # randomness.
-                "rng": matcher._rng.bit_generator.state,
-                "ack": response,
-            }
+            "open",
+            handle,
+            msg,
+            graph=msg.get("graph"),
+            target_quality=float(msg.get("target_quality", 0.55)),
+            seed=msg.get("seed"),
+            topup=bool(msg.get("topup", False)),
+            exact=bool(msg.get("exact", False)),
+            # The concrete generator state (seed may be None): replay
+            # restores it so recovered sessions draw identical randomness.
+            rng=matcher._rng.bit_generator.state,
+            ack=response,
         )
         return response
 
@@ -576,17 +598,15 @@ class _StreamRegistry:
             "nnz": graph.nnz,
         }
         self._journal_append(
-            {
-                "op": "update",
-                "handle": msg.get("handle"),
-                **_rid_field(msg),
-                "msg": {
-                    key: msg[key]
-                    for key in ("add", "remove", "grow", "strict")
-                    if key in msg
-                },
-                "ack": response,
-            }
+            "update",
+            msg.get("handle"),
+            msg,
+            msg={
+                key: msg[key]
+                for key in ("add", "remove", "grow", "strict")
+                if key in msg
+            },
+            ack=response,
         )
         return response
 
@@ -618,30 +638,25 @@ class _StreamRegistry:
         handle = msg.get("handle")
         self._last_ack[str(handle)] = dict(payload)
         self._journal_append(
-            {
-                "op": "rematch",
-                "handle": handle,
-                **_rid_field(msg),
-                "cold": bool(msg.get("cold", False)),
-                "ack": dict(payload),
-            }
+            "rematch",
+            handle,
+            msg,
+            cold=bool(msg.get("cold", False)),
+            ack=dict(payload),
         )
         if msg.get("include_matching"):
             payload["row_match"] = result.matching.row_match.tolist()
         return payload
 
     def close(self, msg: dict[str, Any]) -> dict[str, Any]:
-        handle = msg.get("handle")
-        if handle not in self._sessions:
-            raise StreamError(f"unknown stream handle {handle!r}")
+        self.get(msg)  # a typed error for an unknown handle
+        handle = msg["handle"]
         del self._sessions[handle]
         self._last_ack.pop(str(handle), None)
         if _tm.enabled():
             _tm.incr("serve.stream.closes")
             _tm.set_gauge("serve.stream.open_handles", len(self._sessions))
-        self._journal_append(
-            {"op": "close", "handle": handle, **_rid_field(msg)}
-        )
+        self._journal_append("close", handle, msg)
         return {"handle": handle, "closed": True}
 
     # -- shard ops (see docs/sharding.md, "Daemon tier") ----------------
@@ -652,15 +667,11 @@ class _StreamRegistry:
             raise ShardError(f"unknown shard handle {handle!r}")
         return self._shards[handle]
 
-    def shard_open(self, msg: dict[str, Any], cache: Any) -> dict[str, Any]:
+    def shard_open(self, msg: dict[str, Any]) -> dict[str, Any]:
         from repro.shard.session import ShardSession
 
-        if len(self._sessions) + len(self._shards) >= self.max_streams:
-            raise StreamError(
-                f"stream limit reached ({self.max_streams} open);"
-                f" close a handle first"
-            )
-        base = build_graph(msg.get("graph"), cache)
+        self._admit()
+        base = build_graph(msg.get("graph"), self.cache)
         session = ShardSession.build(
             base,
             msg.get("graph"),
@@ -677,17 +688,15 @@ class _StreamRegistry:
             _tm.set_gauge("serve.shard.open_handles", len(self._shards))
         response = {"handle": handle, **session.info()}
         self._journal_append(
-            {
-                "op": "shard_open",
-                "handle": handle,
-                **_rid_field(msg),
-                "graph": msg.get("graph"),
-                "n_shards": int(msg.get("n_shards", 1)),
-                "index": int(msg.get("index", 0)),
-                "chunk_rows": session.shard.chunk_rows,
-                "chunk_cols": session.shard.chunk_cols,
-                "ack": response,
-            }
+            "shard_open",
+            handle,
+            msg,
+            graph=msg.get("graph"),
+            n_shards=int(msg.get("n_shards", 1)),
+            index=int(msg.get("index", 0)),
+            chunk_rows=session.shard.chunk_rows,
+            chunk_cols=session.shard.chunk_cols,
+            ack=response,
         )
         return response
 
@@ -736,14 +745,12 @@ class _StreamRegistry:
             np.asarray(col_choice, dtype=np.int64),
         )
         self._journal_append(
-            {
-                "op": "shard_arm",
-                "handle": msg.get("handle"),
-                **_rid_field(msg),
-                "row_choice": row_choice,
-                "col_choice": col_choice,
-                "ack": dict(response),
-            }
+            "shard_arm",
+            msg.get("handle"),
+            msg,
+            row_choice=row_choice,
+            col_choice=col_choice,
+            ack=dict(response),
         )
         return response
 
@@ -752,13 +759,11 @@ class _StreamRegistry:
         candidates = [int(v) for v in msg.get("candidates", ())]
         response = session.commit(np.asarray(candidates, dtype=np.int64))
         self._journal_append(
-            {
-                "op": "shard_commit",
-                "handle": msg.get("handle"),
-                **_rid_field(msg),
-                "candidates": candidates,
-                "ack": dict(response),
-            }
+            "shard_commit",
+            msg.get("handle"),
+            msg,
+            candidates=candidates,
+            ack=dict(response),
         )
         return response
 
@@ -767,79 +772,63 @@ class _StreamRegistry:
         response = session.finish()
         match = response.pop("match")
         self._journal_append(
-            {
-                "op": "shard_finish",
-                "handle": msg.get("handle"),
-                **_rid_field(msg),
-                "ack": dict(response),
-            }
+            "shard_finish", msg.get("handle"), msg, ack=dict(response)
         )
         # The full match array rides the response but stays out of the
         # journal ack: the checksum already pins it bit for bit.
         return {**response, "match": match.tolist()}
 
     def shard_close(self, msg: dict[str, Any]) -> dict[str, Any]:
-        handle = msg.get("handle")
-        if handle not in self._shards:
-            raise ShardError(f"unknown shard handle {handle!r}")
+        self.get_shard(msg)  # a typed error for an unknown handle
+        handle = msg["handle"]
         del self._shards[handle]
         if _tm.enabled():
             _tm.incr("serve.shard.closes")
             _tm.set_gauge("serve.shard.open_handles", len(self._shards))
-        self._journal_append(
-            {"op": "shard_close", "handle": handle, **_rid_field(msg)}
-        )
+        self._journal_append("shard_close", handle, msg)
         return {"handle": handle, "closed": True}
 
 
 #: Exit code of a daemon that stopped because its journal poisoned —
-#: nonzero so a supervisor restarts it through recovery.
+#: nonzero so the router restarts it through recovery.
 JOURNAL_POISONED_EXIT = 75
-
-#: Exit code of a daemon whose output pipe closed mid-response (EX_IOERR):
-#: the reader is gone, so further acks would be lies; die loudly instead
-#: of hanging or dying with an unhandled ``BrokenPipeError`` traceback.
-BROKEN_PIPE_EXIT = 74
 
 
 class Dispatcher:
     """Transport-independent request dispatcher for the daemon protocol.
 
-    One instance serves both fronts — the stdio loop in
-    :func:`serve_forever` and socket connections in
-    :class:`~repro.serve.net.SocketServer` — so the two transports
-    cannot drift in semantics.  :meth:`handle` maps one request object
-    to ``(response, stop)``; :meth:`handle_line` adds JSON-line
-    parsing.  Neither ever raises for a bad request: failures come back
-    as typed ``{"ok": false, "error": ...}`` responses
-    (``KeyboardInterrupt`` / ``SystemExit`` excepted).
+    :meth:`handle` maps one request object to ``(response, stop)``,
+    looking its op up in :data:`OPS`: a registry op calls its
+    :class:`_StreamRegistry` method under an internal lock, while
+    ``match`` submissions run outside it so slow matches do not block
+    health probes or other connections.  It never raises for a bad
+    request: failures come back as typed ``{"ok": false, "error": ...}``
+    responses (``KeyboardInterrupt`` / ``SystemExit`` excepted).
 
     Idempotency: a request carrying a ``rid`` (client-unique request
-    id) has its successful response remembered in an LRU of *acked_cap*
-    entries; a retry with the same ``rid`` — e.g. after the network
-    dropped the first ack — is answered from that cache without
-    re-applying the mutation.  The cache is seeded from the journal on
-    recovery (see :meth:`_StreamRegistry.apply_record`), so the
-    guarantee holds across daemon failover, not just within one
-    process.  Stream ops serialise on an internal lock; ``match``
-    submissions run outside it so slow matches do not block health
-    probes or other connections.
+    id) to a journaled op has its successful response remembered in an
+    LRU of *acked_cap* entries; a retry with the same ``rid`` — e.g.
+    after the network dropped the first ack — is answered from that
+    cache without re-applying the mutation.  The cache is seeded from
+    the journal on recovery (see :meth:`_StreamRegistry.apply_record`),
+    so the guarantee holds across daemon failover, not just within one
+    process.  Other ops change no state, so a retry re-executes them:
+    a retried ``match`` is admitted afresh, and under load the server
+    may answer it on a lower rung or shed it.
     """
 
     def __init__(
         self,
         server: MatchingServer,
-        cache: "GraphCache | dict[str, BipartiteGraph]",
         streams: _StreamRegistry,
         *,
-        acked_cap: int = 1024,
+        acked_cap: int = ACKED_CAP,
     ) -> None:
         if acked_cap < 1:
             raise ServiceError(
                 f"acked cache cap must be >= 1, got {acked_cap}"
             )
         self.server = server
-        self.cache = cache
         self.streams = streams
         self.acked_cap = int(acked_cap)
         self.rid_evictions = 0
@@ -880,6 +869,7 @@ class Dispatcher:
         """
         payload = self.server.health()
         journal = self.streams.journal
+        cache = self.streams.cache
         with self._lock:
             payload["sessions"] = len(self.streams._sessions)
             payload["shards"] = len(self.streams._shards)
@@ -895,14 +885,14 @@ class Dispatcher:
             }
         )
         payload["graph_cache"] = {
-            "size": len(self.cache),
-            "cap": getattr(self.cache, "cap", None),
+            "size": len(cache),
+            "cap": getattr(cache, "cap", None),
         }
         return payload
 
     def _match(self, msg: dict[str, Any]) -> dict[str, Any]:
         with self._lock:
-            graph = build_graph(msg.get("graph"), self.cache)
+            graph = build_graph(msg.get("graph"), self.streams.cache)
         request = MatchRequest(
             graph,
             iterations=int(msg.get("iterations", 5)),
@@ -938,110 +928,54 @@ class Dispatcher:
                     if _tm.enabled():
                         _tm.incr("serve.rid_replays")
                     return replay, False
-            op = msg.get("op", "match")
-            if op == "match":
+            name, op = lookup_op(msg)
+            if op is None:
+                raise ServiceError(
+                    f"unknown op {name!r}; expected 'match', 'stream_open',"
+                    f" 'update', 'rematch', 'stream_close', a 'shard_*'"
+                    f" verb, 'health', or 'shutdown'"
+                )
+            if op.method is not None:
+                with self._lock:
+                    served = getattr(self.streams, op.method)(msg)
+                response = {"ok": True, **served}
+            elif name == "match":
                 response = self._match(msg)
-            elif op == "stream_open":
-                with self._lock:
-                    response = {
-                        "ok": True,
-                        **self.streams.open(msg, self.cache),
-                    }
-            elif op in ("update", "stream_update"):
-                with self._lock:
-                    response = {"ok": True, **self.streams.update(msg)}
-            elif op in ("rematch", "stream_rematch"):
-                with self._lock:
-                    response = {"ok": True, **self.streams.rematch(msg)}
-            elif op == "stream_close":
-                with self._lock:
-                    response = {"ok": True, **self.streams.close(msg)}
-            elif op == "shard_open":
-                with self._lock:
-                    response = {
-                        "ok": True,
-                        **self.streams.shard_open(msg, self.cache),
-                    }
-            elif op == "shard_sweep":
-                with self._lock:
-                    response = {"ok": True, **self.streams.shard_sweep(msg)}
-            elif op == "shard_choices":
-                with self._lock:
-                    response = {"ok": True, **self.streams.shard_choices(msg)}
-            elif op == "shard_scan":
-                with self._lock:
-                    response = {"ok": True, **self.streams.shard_scan(msg)}
-            elif op == "shard_arm":
-                with self._lock:
-                    response = {"ok": True, **self.streams.shard_arm(msg)}
-            elif op == "shard_commit":
-                with self._lock:
-                    response = {"ok": True, **self.streams.shard_commit(msg)}
-            elif op == "shard_finish":
-                with self._lock:
-                    response = {"ok": True, **self.streams.shard_finish(msg)}
-            elif op == "shard_close":
-                with self._lock:
-                    response = {"ok": True, **self.streams.shard_close(msg)}
-            elif op == "health":
+            elif name == "health":
                 response = {"ok": True, **self.health()}
-            elif op == "shutdown":
+            else:  # shutdown
                 return (
                     {"id": request_id, "ok": True, "status": "draining"},
                     True,
-                )
-            else:
-                raise ServiceError(
-                    f"unknown op {op!r}; expected 'match', 'stream_open',"
-                    f" 'update', 'rematch', 'stream_close', a 'shard_*'"
-                    f" verb, 'health', or 'shutdown'"
                 )
         except (KeyboardInterrupt, SystemExit):
             raise
         except BaseException as exc:  # noqa: BLE001 - typed in response
             return _error_response(request_id, exc), False
         response["id"] = request_id
-        if rid is not None and response.get("ok"):
+        if rid is not None and op.journaled and response.get("ok"):
             self._remember(str(rid), dict(response))
         return response, False
-
-    def handle_line(self, line: str) -> tuple[dict[str, Any], bool] | None:
-        """Dispatch one JSON line; ``None`` for blank lines."""
-        line = line.strip()
-        if not line:
-            return None
-        try:
-            msg = json.loads(line)
-        except json.JSONDecodeError as exc:
-            return (
-                _error_response(
-                    None, ServiceError(f"request is not valid JSON: {exc}")
-                ),
-                False,
-            )
-        return self.handle(msg)
 
 
 def _run_daemon(
     backend: Backend | str | None,
     serve: Callable[[Dispatcher], int],
     *,
-    config: ServerConfig | None,
-    graph_cache_cap: int,
-    max_streams: int,
-    journal_dir: str | None,
-    recover: bool,
-    checkpoint_every: int,
-    acked_cap: int,
+    max_streams: int = 8,
+    journal_dir: str | None = None,
+    recover: bool = False,
+    checkpoint_every: int = 64,
 ) -> int:
-    """The set-up both daemon fronts share; returns the exit code.
+    """The one daemon set-up; runs the front *serve* and returns the exit code.
 
-    Resolves *backend* once: the server, the stream registry and every
-    matcher that the registry or recovery builds run on that one
-    backend, which is closed after the server drains unless the caller
-    passed an instance.  *serve* runs the front over the dispatcher and
-    returns its own exit code; a poisoned journal overrides it with
-    :data:`JOURNAL_POISONED_EXIT`.
+    :func:`~repro.serve.net.serve_listen` passes the socket front and
+    :func:`_run_script` a scripted one; a poisoned journal overrides
+    its exit code with :data:`JOURNAL_POISONED_EXIT`.  Resolves
+    *backend* once for the server, the registry and every matcher it or
+    recovery builds, and closes it after the server drains unless the
+    caller passed an instance.  *journal_dir*, *recover* and
+    *checkpoint_every* are the durability knobs of ``docs/serving.md``.
     """
     # A SIGKILLed predecessor never swept its shared-memory segments;
     # reclaim any whose creator is gone before spawning our own.
@@ -1050,7 +984,6 @@ def _run_daemon(
     reclaim_stale_segments()
     shared = get_backend(backend)
     try:
-        cache = GraphCache(graph_cache_cap)
         if recover:
             if journal_dir is None:
                 raise ServiceError("--recover requires a journal directory")
@@ -1060,7 +993,6 @@ def _run_daemon(
                 journal_dir,
                 backend=shared,
                 max_streams=max_streams,
-                cache=cache,
                 checkpoint_every=checkpoint_every,
             )
         else:
@@ -1072,10 +1004,8 @@ def _run_daemon(
                     journal_dir, checkpoint_every=checkpoint_every
                 )
             streams = _StreamRegistry(max_streams, shared, journal=journal)
-        with MatchingServer(shared, config=config) as server:
-            code = serve(
-                Dispatcher(server, cache, streams, acked_cap=acked_cap)
-            )
+        with MatchingServer(shared) as server:
+            code = serve(Dispatcher(server, streams))
         if streams.journal is not None:
             streams.journal.close()
     finally:
@@ -1084,87 +1014,26 @@ def _run_daemon(
     return JOURNAL_POISONED_EXIT if streams.poisoned else code
 
 
-def serve_forever(
-    backend: Backend | str | None = None,
-    *,
-    config: ServerConfig | None = None,
-    stdin: IO[str] | None = None,
-    stdout: IO[str] | None = None,
-    graph_cache_cap: int = 32,
-    max_streams: int = 8,
-    journal_dir: str | None = None,
-    recover: bool = False,
-    checkpoint_every: int = 64,
-    acked_cap: int = 1024,
-) -> int:
-    """Run the JSON-lines daemon until EOF or a ``shutdown`` op.
+def _run_script(
+    requests: list[Any], backend: Backend | str | None = None, **kwargs: Any
+) -> tuple[int, list[dict[str, Any]]]:
+    """Run the daemon set-up over an in-process front fed *requests*.
 
-    Returns a process exit code (0 on clean shutdown).  *stdin* /
-    *stdout* default to the process streams; tests pass ``io.StringIO``.
-    *graph_cache_cap* bounds the spec→graph LRU cache; *max_streams*
-    bounds the number of concurrently open dynamic-graph handles;
-    *acked_cap* bounds the idempotency replay cache (evictions count on
-    the ``serve.rid_evictions`` telemetry counter).
-
-    With *journal_dir* every stream mutation is write-ahead journaled
-    (fsync before ack) and checkpointed every *checkpoint_every*
-    records; *recover* first rebuilds the stream registry from the
-    directory's checkpoint + journal (see ``docs/serving.md``,
-    "Durability & crash recovery").  When the journal poisons — a
-    failed or injected-faulty write — the daemon stops with exit code
-    :data:`JOURNAL_POISONED_EXIT` rather than acknowledging mutations
-    it can no longer make durable.
+    The front answers them in order and stops on ``shutdown`` or a
+    poisoned journal, as the socket front does; each response passes
+    through the wire codec.  *kwargs* go to :func:`_run_daemon`.
+    Returns the exit code and the responses in order.
     """
-    stdin = stdin if stdin is not None else sys.stdin
-    stdout = stdout if stdout is not None else sys.stdout
+    from repro.serve.net import decode_message, encode_message
 
-    def loop(dispatcher: Dispatcher) -> int:
-        for line in stdin:
-            try:
-                handled = dispatcher.handle_line(line)
-            except (KeyboardInterrupt, SystemExit):
-                break
-            if handled is None:
-                continue
-            response, stop = handled
-            try:
-                stdout.write(json.dumps(response) + "\n")
-                stdout.flush()
-            except (BrokenPipeError, OSError) as exc:
-                # The reader hung up mid-response.  The old behaviour —
-                # an unhandled traceback, or a hang retrying the write —
-                # left supervisors guessing; instead log one typed line
-                # and exit nonzero so they restart us.
-                with contextlib.suppress(Exception):
-                    sys.stderr.write(
-                        json.dumps(
-                            {
-                                "event": "serve.output_pipe_closed",
-                                "error": type(exc).__name__,
-                                "message": str(exc),
-                            }
-                        )
-                        + "\n"
-                    )
-                    sys.stderr.flush()
-                if _tm.enabled():
-                    _tm.incr("serve.output_pipe_closed")
-                return BROKEN_PIPE_EXIT
-            # A poisoned journal leaves the in-memory registry ahead of
-            # the durable log; acknowledging anything further would be a
-            # lie.  Die and let the supervisor restart through recovery.
+    replies: list[dict[str, Any]] = []
+
+    def front(dispatcher: Dispatcher) -> int:
+        for request in requests:
+            response, stop = dispatcher.handle(request)
+            replies.append(decode_message(encode_message(response)))
             if stop or dispatcher.poisoned:
                 break
         return 0
 
-    return _run_daemon(
-        backend,
-        loop,
-        config=config,
-        graph_cache_cap=graph_cache_cap,
-        max_streams=max_streams,
-        journal_dir=journal_dir,
-        recover=recover,
-        checkpoint_every=checkpoint_every,
-        acked_cap=acked_cap,
-    )
+    return _run_daemon(backend, front, **kwargs), replies

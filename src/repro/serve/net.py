@@ -1,10 +1,11 @@
-"""Socket front for the daemon protocol: framing, server, client.
+"""The daemon's front: framing, socket server, client.
 
-The stdio daemon (:func:`~repro.serve.daemon.serve_forever`) serves one
-pipe.  This module puts the same :class:`~repro.serve.daemon.Dispatcher`
-behind a listening socket — unix-domain or TCP — so many clients, and
-the multi-daemon :class:`~repro.serve.router.Router`, can talk to one
-daemon concurrently.  Three layers:
+:func:`serve_listen` is the one way to run a daemon
+(``python -m repro serve --listen``): it puts the
+:class:`~repro.serve.daemon.Dispatcher` behind a listening socket —
+unix-domain or TCP — so many clients, and the multi-daemon
+:class:`~repro.serve.router.Router` that supervises daemons, can talk
+to one daemon concurrently.  Three layers:
 
 Framing
     A request or response is one *frame*::
@@ -897,28 +898,25 @@ def serve_listen(
     address: str,
     backend: Any = None,
     *,
-    config: Any = None,
-    graph_cache_cap: int = 32,
     max_streams: int = 8,
     journal_dir: str | None = None,
     recover: bool = False,
     checkpoint_every: int = 64,
-    acked_cap: int = 1024,
-    deadline: float | None = 30.0,
     ready: Callable[[str], None] | None = None,
 ) -> int:
     """Run a socket daemon at *address* until a ``shutdown`` op.
 
-    The socket-front twin of
-    :func:`~repro.serve.daemon.serve_forever`: same journal/recovery
-    wiring, same dispatcher semantics, same exit codes
-    (:data:`~repro.serve.daemon.JOURNAL_POISONED_EXIT` when the
-    write-ahead log poisons).  *ready* is called with the bound
+    The daemon set-up (:func:`~repro.serve.daemon._run_daemon`: backend,
+    stream registry or journal recovery, server) behind a
+    :class:`SocketServer`.  Returns the process exit code: 0 after a
+    ``shutdown`` op, :data:`~repro.serve.daemon.JOURNAL_POISONED_EXIT`
+    when the write-ahead log poisons.  *ready* is called with the bound
     address once the server is accepting — ``python -m repro serve
-    --listen`` prints it so supervisors can wait for the line.
+    --listen`` prints it as a JSON line that a parent process can wait
+    for.
     """
     def loop(dispatcher: Dispatcher) -> int:
-        with SocketServer(dispatcher, address, deadline=deadline) as front:
+        with SocketServer(dispatcher, address) as front:
             if ready is not None:
                 ready(front.address)
             while not front.shutdown_requested.wait(timeout=0.2):
@@ -929,11 +927,8 @@ def serve_listen(
     return _run_daemon(
         backend,
         loop,
-        config=config,
-        graph_cache_cap=graph_cache_cap,
         max_streams=max_streams,
         journal_dir=journal_dir,
         recover=recover,
         checkpoint_every=checkpoint_every,
-        acked_cap=acked_cap,
     )

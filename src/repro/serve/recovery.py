@@ -21,32 +21,29 @@ against the stored warm state and the last acknowledged response.  A
 checkpoint that loads cleanly but disagrees with its own graph is
 refused.
 
-:func:`supervise` is the watchdog: spawn the daemon, and while it keeps
-dying with nonzero status, respawn it with ``--recover`` up to a restart
-budget.  Acked state survives each death by construction.
+The :class:`~repro.serve.router.Router` is the one supervisor: it
+respawns a dead daemon with ``--recover``, which runs this path.
 """
 
 from __future__ import annotations
 
 import os
-import subprocess
-import sys
 import time
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any
 
 import numpy as np
 
 from repro import telemetry as _tm
 from repro.errors import RecoveryError
-from repro.serve.daemon import GraphCache, _StreamRegistry
+from repro.serve.daemon import _StreamRegistry
 from repro.serve.journal import (
     DurableLog,
     latest_generation,
     scan_journal,
 )
 
-__all__ = ["RecoveryReport", "recover_registry", "supervise"]
+__all__ = ["RecoveryReport", "recover_registry"]
 
 
 @dataclass(frozen=True)
@@ -152,7 +149,6 @@ def recover_registry(
     *,
     backend: Any = None,
     max_streams: int = 8,
-    cache: GraphCache | None = None,
     checkpoint_every: int = 64,
     attach_journal: bool = True,
 ) -> tuple[_StreamRegistry, RecoveryReport]:
@@ -170,7 +166,6 @@ def recover_registry(
         raise RecoveryError(f"journal directory {directory!r} does not exist")
     started = time.perf_counter()
     generation, ckpt_path, wal_path = latest_generation(directory)
-    cache = cache if cache is not None else GraphCache(32)
     registry = _StreamRegistry(max_streams, backend)
 
     from_checkpoint = False
@@ -193,7 +188,7 @@ def recover_registry(
                 fh.flush()
                 os.fsync(fh.fileno())
         for record in scan.records:
-            registry.apply_record(record, cache)
+            registry.apply_record(record)
             replayed += 1
 
     _recertify(registry)
@@ -232,37 +227,3 @@ def recover_registry(
             "serve.recovery.seconds", time.perf_counter() - started
         )
     return registry, report
-
-
-def supervise(
-    argv: Sequence[str],
-    *,
-    journal_dir: str,
-    max_restarts: int = 3,
-    backoff: float = 0.2,
-) -> int:
-    """Watchdog respawn loop around a daemon command.
-
-    Runs ``argv`` (inheriting this process's stdio); while it exits
-    nonzero and restarts remain, respawns it with ``--recover`` appended
-    so each incarnation rebuilds from *journal_dir*.  Returns the final
-    exit code — 0 only if some incarnation shut down cleanly.
-    """
-    attempt = list(argv)
-    restarts = 0
-    while True:
-        code = subprocess.call(attempt)
-        if code == 0 or restarts >= max_restarts:
-            return code
-        restarts += 1
-        if _tm.enabled():
-            _tm.incr("serve.recovery.respawns")
-        print(
-            f"daemon exited with {code}; respawn {restarts}/{max_restarts}"
-            f" via recovery from {journal_dir!r}",
-            file=sys.stderr,
-        )
-        time.sleep(backoff * restarts)
-        attempt = list(argv)
-        if "--recover" not in attempt:
-            attempt.append("--recover")

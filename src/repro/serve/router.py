@@ -9,11 +9,12 @@ fronts them behind one :meth:`Router.request` call:
   hash ring: a flooding tenant is shed with a typed
   :class:`~repro.errors.QuotaExceededError` without costing a network
   round-trip or displacing other tenants.
-* **Routing** — graph keys and stream sessions are placed on a
-  consistent-hash ring (SHA-1, *vnodes* virtual nodes per daemon), so
-  the same graph always lands on the same daemon — its graph cache
-  stays hot — and adding a daemon moves only ``1/N`` of the key
-  space.  The key is the daemon cache's own
+* **Routing** — each op's route comes from the daemon's op table
+  (:data:`~repro.serve.daemon.OPS`).  Graph keys and stream sessions
+  are placed on a consistent-hash ring (SHA-1, *vnodes* virtual nodes
+  per daemon), so the same graph always lands on the same daemon — its
+  graph cache stays hot — and adding a daemon moves only ``1/N`` of
+  the key space.  The key is the daemon cache's own
   :func:`~repro.serve.daemon.graph_key`: a SHA-256 digest of an inline
   COO spec's arrays, canonical JSON for ``path`` and ``kind`` specs.
   The router validates an inline COO spec once and forwards the int64
@@ -31,6 +32,7 @@ fronts them behind one :meth:`Router.request` call:
   retries after the revival under the *same* idempotency id, so an
   acked mutation is never re-applied and an acked request is never
   lost — the zero-acked-loss contract the failover chaos row checks.
+  The router is the one supervisor: nothing else respawns a daemon.
 
 The router owns its daemons: :meth:`stop` shuts them down (journal
 directories survive — they *are* the durable state).  Use as a context
@@ -56,33 +58,11 @@ from repro.errors import (
     StreamError,
     TransportError,
 )
-from repro.serve.daemon import keyed_spec
+from repro.serve.daemon import keyed_spec, lookup_op
 from repro.serve.net import ResilientClient
 from repro.serve.quota import TenantQuotas
 
 __all__ = ["Router", "RouterNode"]
-
-#: Ops whose ``handle`` field pins them to the daemon that owns the
-#: session (vs. ops routed by graph key or sent anywhere healthy).
-_HANDLE_OPS = frozenset(
-    {
-        "update",
-        "stream_update",
-        "rematch",
-        "stream_rematch",
-        "stream_close",
-        "shard_sweep",
-        "shard_choices",
-        "shard_arm",
-        "shard_scan",
-        "shard_commit",
-        "shard_finish",
-        "shard_close",
-    }
-)
-
-#: Ops routed by the key of their ``graph`` spec.
-_GRAPH_OPS = frozenset({"match", "stream_open", "shard_open"})
 
 
 class RouterNode:
@@ -429,12 +409,15 @@ class Router:
         from repro.serve.net import error_from_response
 
         msg = dict(msg)
-        op = str(msg.get("op", "match"))
+        # An op the daemon does not know goes anywhere, for its typed
+        # "unknown op" answer.
+        _, op = lookup_op(msg)
+        route = "any" if op is None else op.route
         self.quotas.acquire(tenant)
         try:
             msg.setdefault("rid", self._next_rid())
             msg.setdefault("id", msg["rid"])
-            if op in _HANDLE_OPS:
+            if route == "handle":
                 name, sep, local = str(msg.get("handle", "")).partition(":")
                 if not sep:
                     raise StreamError(
@@ -443,11 +426,11 @@ class Router:
                     )
                 node = self._node_by_name(name)
                 msg["handle"] = local
-            elif op in _GRAPH_OPS:
+            elif route in ("graph", "shard"):
                 # The key's validated int64 arrays ride the wire as raw
                 # bytes in place of the caller's lists (msg is a copy).
                 key, msg["graph"] = keyed_spec(msg.get("graph"))
-                if op == "shard_open":
+                if route == "shard":
                     # Same graph, different shard index → different ring
                     # key, so a K-shard plan spreads across daemons
                     # instead of stacking K sessions on the spec's

@@ -40,7 +40,7 @@ path:
 
 The server is deliberately transport-free: :meth:`submit` is a blocking
 in-process call (`submit_async` returns a ticket), and
-``python -m repro serve`` wraps it in a stdin/stdout JSON-lines daemon.
+``python -m repro serve --listen`` wraps it in a socket daemon.
 """
 
 from __future__ import annotations

@@ -13,8 +13,10 @@ Everything here carries the ``net`` marker (``pytest -m net``, CI's
 * :class:`~repro.serve.net.ResilientClient` retries transport faults
   under its idempotency id — a retry after a dropped ack must NOT
   re-apply the mutation, in-process or across journal recovery;
-* the daemon exits :data:`~repro.serve.daemon.BROKEN_PIPE_EXIT` with a
-  typed log line when its output pipe closes mid-response;
+* a retried ``match`` re-executes while a retried ``update`` is answered
+  from the acked-response cache, which keeps only journaled ops;
+* the router routes every op of the daemon's op table as its fixed op
+  sets used to;
 * :class:`~repro.serve.quota.TenantQuotas` holds per-tenant caps under
   concurrent submits and stays fair when one tenant floods;
 * a 3-daemon :class:`~repro.serve.router.Router` survives a SIGKILL of
@@ -42,12 +44,12 @@ from repro.errors import (
 from repro.resilience.backoff import BackoffPolicy
 from repro.resilience.faults import FaultPlan, FaultSpec, injected_faults
 from repro.serve.daemon import (
-    BROKEN_PIPE_EXIT,
+    GRAPH_CACHE_CAP,
+    OPS,
     Dispatcher,
-    GraphCache,
     _StreamRegistry,
+    _run_script,
     graph_key,
-    serve_forever,
 )
 from repro.serve.net import (
     ResilientClient,
@@ -268,7 +270,7 @@ def socket_stack(tmp_path):
     """An in-process dispatcher behind a real unix socket."""
     with MatchingServer("serial") as server:
         streams = _StreamRegistry(4, "serial")
-        dispatcher = Dispatcher(server, GraphCache(8), streams)
+        dispatcher = Dispatcher(server, streams)
         address = f"unix:{tmp_path / 'd.sock'}"
         with SocketServer(dispatcher, address, deadline=10.0) as front:
             client = ResilientClient(
@@ -293,9 +295,7 @@ def test_match_over_socket(socket_stack):
 
 def test_tcp_transport(tmp_path):
     with MatchingServer("serial") as server:
-        dispatcher = Dispatcher(
-            server, GraphCache(4), _StreamRegistry(2, "serial")
-        )
+        dispatcher = Dispatcher(server, _StreamRegistry(2, "serial"))
         with SocketServer(
             dispatcher, "tcp:127.0.0.1:0", deadline=5.0
         ) as front:
@@ -312,7 +312,7 @@ def test_health_is_enriched(socket_stack):
     assert health["workers"] >= 1
     assert health["sessions"] == 0 and health["max_streams"] == 4
     assert health["journal"] is None
-    assert health["graph_cache"] == {"size": 0, "cap": 8}
+    assert health["graph_cache"] == {"size": 0, "cap": GRAPH_CACHE_CAP}
     client.request({"op": "stream_open", "graph": GRAPH})
     health = client.request({"op": "health"})
     assert health["sessions"] == 1
@@ -326,7 +326,7 @@ def test_health_reports_journal_state(tmp_path):
         streams = _StreamRegistry(
             2, "serial", journal=DurableLog(tmp_path / "j")
         )
-        dispatcher = Dispatcher(server, GraphCache(4), streams)
+        dispatcher = Dispatcher(server, streams)
         health = dispatcher.health()
         assert health["journal"] == {
             "generation": 0,
@@ -432,7 +432,7 @@ def test_acked_rid_survives_recovery_without_reapplying(tmp_path):
         streams = _StreamRegistry(
             2, "serial", journal=DurableLog(jdir, checkpoint_every=100)
         )
-        dispatcher = Dispatcher(server, GraphCache(4), streams)
+        dispatcher = Dispatcher(server, streams)
         opened, _ = dispatcher.handle(
             {"id": 1, "rid": "cli:1", "op": "stream_open", "graph": GRAPH}
         )
@@ -446,7 +446,7 @@ def test_acked_rid_survives_recovery_without_reapplying(tmp_path):
     recovered, _report = recover_registry(jdir, backend="serial")
     assert recovered.replayed_acks["cli:2"]["epoch"] == 1
     with MatchingServer("serial") as server:
-        dispatcher = Dispatcher(server, GraphCache(4), recovered)
+        dispatcher = Dispatcher(server, recovered)
         # The client never saw the ack and retries after failover.
         retry, _ = dispatcher.handle(
             {"id": 3, "rid": "cli:2", "op": "update",
@@ -458,41 +458,40 @@ def test_acked_rid_survives_recovery_without_reapplying(tmp_path):
         recovered.journal.close()
 
 
-# ---------------------------------------------------------------------------
-# broken output pipe (stdio daemon)
+def test_match_rid_reexecutes_while_update_rid_replays():
+    """Only journaled ops keep their ack for retries: a retried match
+    runs again (a seeded match answers the same), a retried update is
+    answered from the cache without re-applying."""
+    from repro import telemetry
 
-
-class _BrokenStdout(io.StringIO):
-    def __init__(self, break_after: int) -> None:
-        super().__init__()
-        self.break_after = break_after
-        self.writes = 0
-
-    def write(self, s: str) -> int:
-        self.writes += 1
-        if self.writes > self.break_after:
-            raise BrokenPipeError("reader went away")
-        return super().write(s)
-
-
-def test_broken_output_pipe_exits_nonzero_with_typed_log(capsys):
-    stdin = io.StringIO(
-        json.dumps({"id": 1, "op": "health"}) + "\n"
-        + json.dumps({"id": 2, "op": "health"}) + "\n"
-    )
-    code = serve_forever(stdin=stdin, stdout=_BrokenStdout(break_after=1))
-    assert code == BROKEN_PIPE_EXIT == 74
-    err = capsys.readouterr().err.strip().splitlines()
-    event = json.loads(err[-1])
-    assert event["event"] == "serve.output_pipe_closed"
-    assert event["error"] == "BrokenPipeError"
+    with MatchingServer("serial") as server, telemetry.session() as reg:
+        streams = _StreamRegistry(2, "serial")
+        dispatcher = Dispatcher(server, streams)
+        match = {"id": 1, "rid": "m", "op": "match", "graph": GRAPH,
+                 "iterations": 2, "seed": 3}
+        first, _ = dispatcher.handle(match)
+        again, _ = dispatcher.handle({**match, "id": 2})
+        assert first["ok"] and again["ok"] and again["id"] == 2
+        assert again["row_match"] == first["row_match"]
+        assert reg.counter("serve.rid_replays").value == 0
+        opened, _ = dispatcher.handle(
+            {"id": 3, "op": "stream_open", "graph": GRAPH}
+        )
+        update = {"id": 4, "rid": "u", "op": "update",
+                  "handle": opened["handle"],
+                  "add": {"rows": [0], "cols": [1]}}
+        acked, _ = dispatcher.handle(update)
+        retry, _ = dispatcher.handle({**update, "id": 5})
+        assert reg.counter("serve.rid_replays").value == 1
+        assert retry["id"] == 5 and retry["epoch"] == acked["epoch"] == 1
+        assert streams._sessions[opened["handle"]][0].epoch == 1
+        assert list(dispatcher._acked) == ["u"]
 
 
 def test_clean_run_still_exits_zero():
-    stdin = io.StringIO(json.dumps({"id": 1, "op": "health"}) + "\n")
-    out = io.StringIO()
-    assert serve_forever(stdin=stdin, stdout=out) == 0
-    assert json.loads(out.getvalue())["ok"]
+    code, replies = _run_script([{"id": 1, "op": "health"}])
+    assert code == 0
+    assert replies[0]["ok"]
 
 
 # ---------------------------------------------------------------------------
@@ -633,9 +632,8 @@ def test_router_survives_sigkill_with_zero_acked_loss(tmp_path):
     # Uninterrupted in-process replica: the acked transcript must be
     # bitwise identical — zero acked requests or epochs lost.
     registry = _StreamRegistry(4, "serial")
-    cache = GraphCache(4)
     replica_open = registry.open(
-        {"graph": GRAPH, "target_quality": 0.55, "seed": 0}, cache
+        {"graph": GRAPH, "target_quality": 0.55, "seed": 0}
     )
     replica = []
     for op in script:
@@ -704,6 +702,59 @@ def test_router_routes_graphs_by_graph_key(tmp_path, monkeypatch):
         json.dumps(GRAPH, sort_keys=True),
         json.dumps(malformed, sort_keys=True),
     ]
+
+
+#: The router's op sets before the op table, kept as the reference for
+#: routing each op where they did.
+_SET_HANDLE_OPS = {
+    "update", "stream_update", "rematch", "stream_rematch", "stream_close",
+    "shard_sweep", "shard_choices", "shard_arm", "shard_scan",
+    "shard_commit", "shard_finish", "shard_close",
+}
+_SET_GRAPH_OPS = {"match", "stream_open", "shard_open"}
+
+
+def test_router_routes_every_op_where_the_op_sets_did(tmp_path, monkeypatch):
+    # Routing only: the daemons are never started, the forward is stubbed.
+    from repro.serve.router import Router
+
+    router = Router(3, str(tmp_path / "rt"), health_interval=0.0)
+    for node in router.nodes:
+        node.healthy = True
+    picked = []
+    monkeypatch.setattr(
+        router,
+        "_forward",
+        lambda node, msg, deadline: picked.append(node) or {"ok": True},
+    )
+
+    def by_sets(msg):
+        op = str(msg.get("op", "match"))
+        if op in _SET_HANDLE_OPS:
+            return router._node_by_name(msg["handle"].partition(":")[0])
+        if op in _SET_GRAPH_OPS:
+            key = graph_key(msg["graph"])
+            if op == "shard_open":
+                key = f"{key}#{msg.get('index')}"
+            return router._route(key)
+        return router._route(msg["rid"])
+
+    assert set(OPS) == _SET_HANDLE_OPS | _SET_GRAPH_OPS | {
+        "health", "shutdown"
+    }
+    coo = {"nrows": 3, "ncols": 3, "rows": [0, 1, 2], "cols": [2, 0, 1]}
+    msgs = [{"graph": GRAPH, "rid": "r-default"}, {"op": "nope", "rid": "x"}]
+    for name in OPS:
+        for i in range(6):
+            msgs.append({
+                "op": name, "rid": f"{name}-{i}", "index": i % 3,
+                "graph": coo if i % 2 else {**GRAPH, "seed": i},
+                "handle": f"n{i % 3}:s{i}",
+            })
+    for msg in msgs:
+        router.request(msg, check=False)
+    assert picked == [by_sets(msg) for msg in msgs]
+    assert len({node.name for node in picked}) == 3
 
 
 def test_router_forwards_validated_arrays_and_leaves_caller_spec(

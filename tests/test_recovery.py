@@ -12,12 +12,10 @@ from __future__ import annotations
 
 import json
 import os
-import queue
 import signal
 import struct
 import subprocess
 import sys
-import threading
 import zipfile
 from pathlib import Path
 
@@ -28,14 +26,15 @@ from repro.errors import RecoveryError, WorkerCrashError
 from repro.resilience import FaultPlan, FaultSpec, injected_faults
 from repro.resilience.chaos import _cell, _sweep_rows
 from repro.serve.checkpoint import read_snapshot, write_snapshot
-from repro.serve.daemon import GraphCache, _StreamRegistry
+from repro.serve.daemon import _StreamRegistry
 from repro.serve.journal import (
     DurableLog,
     encode_record,
     latest_generation,
     scan_journal,
 )
-from repro.serve.recovery import recover_registry, supervise
+from repro.serve.net import ResilientClient
+from repro.serve.recovery import recover_registry
 
 pytestmark = pytest.mark.recovery
 
@@ -53,16 +52,15 @@ GRAPH_SPEC = {"kind": "union", "n": 60, "k": 3, "seed": 0}
 def _churned_registry(journal=None, seed=0):
     """A registry with one session that opened, rematched, and churned."""
     registry = _StreamRegistry(8, None, journal=journal)
-    cache = GraphCache(8)
     registry.open(
-        {"graph": GRAPH_SPEC, "target_quality": 0.55, "seed": seed}, cache
+        {"graph": GRAPH_SPEC, "target_quality": 0.55, "seed": seed}
     )
     registry.rematch({"handle": "s1"})
     registry.update(
         {"handle": "s1", "add": {"rows": [0, 1, 2], "cols": [2, 0, 1]}}
     )
     registry.rematch({"handle": "s1"})
-    return registry, cache
+    return registry
 
 
 # -- framing and the committed torn-write corpus -----------------------
@@ -151,7 +149,7 @@ def test_durable_log_rotates_with_checkpoint_writer(tmp_path):
     """The same rotation with the daemon's own writer: it must write the
     temp path it is given (not ``<tmp>.npz``), and the renamed checkpoint
     must restore the state it was taken from."""
-    registry, _ = _churned_registry()
+    registry = _churned_registry()
     state = registry.export_state()
     ckpt = _rotate_one_generation(
         tmp_path, lambda tmp: write_snapshot(tmp, state)
@@ -225,7 +223,7 @@ def _member_data_start(blob, info):
 
 
 def test_checkpoint_roundtrip_preserves_state_bitwise(tmp_path):
-    registry, _ = _churned_registry()
+    registry = _churned_registry()
     path = tmp_path / "ckpt-000001.npz"
     write_snapshot(path, registry.export_state())
     restored = _StreamRegistry(8, None)
@@ -248,9 +246,9 @@ def test_version1_checkpoint_restores_and_continues_bitwise(tmp_path):
     blob = bytearray(V1_CHECKPOINT.read_bytes())
     path = tmp_path / "ckpt-000001.npz"
     path.write_bytes(bytes(blob))
-    registry, cache = _churned_registry()
+    registry = _churned_registry()
     recovered, report = recover_registry(
-        tmp_path, cache=cache, attach_journal=False
+        tmp_path, attach_journal=False
     )
     assert report.sessions == 1
     _assert_continues_bitwise(registry, recovered)
@@ -266,8 +264,7 @@ def test_checkpoint_roundtrip_restores_unseeded_rng(tmp_path):
     a restored matcher draws the same randomness as the original."""
     registry = _StreamRegistry(8, None)
     registry.open(
-        {"graph": GRAPH_SPEC, "target_quality": 0.55, "seed": None},
-        GraphCache(8),
+        {"graph": GRAPH_SPEC, "target_quality": 0.55, "seed": None}
     )
     registry.rematch({"handle": "s1"})
     path = tmp_path / "ckpt-000001.npz"
@@ -305,7 +302,7 @@ def test_read_snapshot_refuses_corrupt_checkpoint(tmp_path):
     through the array data.  Each flip must raise ``RecoveryError`` or
     load a state bitwise equal to the original — never a different
     state (a directory flip can hide members, and with them arrays)."""
-    registry, _ = _churned_registry()
+    registry = _churned_registry()
     path = tmp_path / "ckpt-000001.npz"
     write_snapshot(path, registry.export_state())
     blob = path.read_bytes()
@@ -374,14 +371,14 @@ def test_recovery_row_crash_at_every_boundary():
 def test_journaled_registry_recovers_acked_rematch(tmp_path):
     """Direct API version: journal a churned session, abandon it (as a
     SIGKILL would), recover, and compare the acknowledgment bitwise."""
-    registry, cache = _churned_registry(
+    registry = _churned_registry(
         journal=DurableLog(tmp_path, checkpoint_every=3)
     )
     acked = dict(registry._last_ack["s1"])
     registry.journal.close()
 
     recovered, report = recover_registry(
-        tmp_path, cache=cache, attach_journal=False
+        tmp_path, attach_journal=False
     )
     assert report.sessions == 1
     assert recovered._last_ack["s1"] == acked
@@ -389,9 +386,87 @@ def test_journaled_registry_recovers_acked_rematch(tmp_path):
     assert graph.epoch == acked["epoch"] == matcher._epoch
     # A second recovery of the same directory is deterministic.
     again, _ = recover_registry(
-        tmp_path, cache=cache, attach_journal=False
+        tmp_path, attach_journal=False
     )
     assert again._last_ack["s1"] == acked
+
+
+def test_every_journaled_op_replays_through_the_op_table(tmp_path):
+    """A journal holding every journaled op kind, shard verbs included,
+    recovers through the op table, each acknowledgment reproduced."""
+    from repro.graph.generators import sprand
+    from repro.serve.daemon import OPS
+    from repro.shard import shard_match
+
+    registry = _StreamRegistry(
+        8, "serial", journal=DurableLog(tmp_path, checkpoint_every=1000)
+    )
+    acks = {}
+
+    def call(method, msg):
+        rid = f"r{len(acks)}"
+        acks[rid] = getattr(registry, method)({**msg, "rid": rid})
+        return acks[rid]
+
+    handle = call(
+        "open", {"graph": GRAPH_SPEC, "target_quality": 0.55, "seed": 4}
+    )["handle"]
+    call("rematch", {"handle": handle})
+    call("update", {"handle": handle, "add": {"rows": [0, 1], "cols": [1, 0]},
+                    "remove": {"rows": [2], "cols": [2]}, "strict": False})
+    call("rematch", {"handle": handle, "cold": True})
+    call("close", {"handle": handle})
+    local = shard_match(sprand(90, 4.0, seed=6), 1, 3, seed=8)
+    shard = call("shard_open", {
+        "graph": {"kind": "sprand", "n": 90, "degree": 4.0, "seed": 6},
+        "n_shards": 1, "index": 0, "chunk_rows": local.plan.chunk_rows,
+        "chunk_cols": local.plan.chunk_cols,
+    })["handle"]
+    call("shard_arm", {"handle": shard,
+                       "row_choice": local.row_choice.tolist(),
+                       "col_choice": local.col_choice.tolist()})
+    while True:
+        scan = registry.shard_scan({"handle": shard})
+        candidates = scan["rows"] + scan["cols"]
+        if not call("shard_commit", {"handle": shard,
+                                     "candidates": candidates})["committed"]:
+            break
+    assert call("shard_finish", {"handle": shard})["match"]
+    call("shard_close", {"handle": shard})
+    registry.journal.close()
+
+    _, _, wal = latest_generation(tmp_path)
+    journaled = {op.method for op in OPS.values() if op.journaled}
+    assert {r["op"] for r in scan_journal(wal).records} == journaled
+    recovered, report = recover_registry(tmp_path, attach_journal=False)
+    assert report.replayed_records == len(acks)
+    assert recovered.replayed_acks == acks
+
+
+@pytest.mark.parametrize(
+    "op", ["bogus", None, "match", "shard_scan", "export_state"]
+)
+def test_replay_refuses_an_op_no_journaled_method_has(op):
+    # Pure verbs and other registry methods are not journal ops either.
+    registry = _StreamRegistry(8, None)
+    with pytest.raises(RecoveryError, match="unknown op"):
+        registry.apply_record({"op": op, "handle": "s1"})
+
+
+def test_replay_applies_the_session_budget(tmp_path):
+    """Replay admits sessions as the live daemon does: one budget for
+    stream and shard sessions, so a journal holding more open sessions
+    than the recovering daemon allows fails recovery, typed."""
+    registry = _StreamRegistry(2, "serial", journal=DurableLog(tmp_path))
+    registry.shard_open({"graph": GRAPH_SPEC, "n_shards": 1, "index": 0})
+    registry.open({"graph": GRAPH_SPEC, "target_quality": 0.55, "seed": 0})
+    registry.journal.close()
+    recovered, _ = recover_registry(
+        tmp_path, max_streams=2, attach_journal=False
+    )
+    assert len(recovered._sessions) == len(recovered._shards) == 1
+    with pytest.raises(RecoveryError, match="'open' on 's2'.*stream limit"):
+        recover_registry(tmp_path, max_streams=1, attach_journal=False)
 
 
 def _coo_spec(n, seed):
@@ -433,10 +508,9 @@ def test_routed_open_journals_the_bytes_of_a_direct_open(tmp_path):
     assert spec == _coo_spec(300, seed=5)  # the caller's lists, untouched
 
     direct = _StreamRegistry(8, "serial", journal=DurableLog(tmp_path / "d"))
-    cache = GraphCache(4)
-    direct.open({**opening, "rid": "d1"}, cache)
+    direct.open({**opening, "rid": "d1"})
     direct.rematch({"handle": "s1", "rid": "d2"})
-    direct.shard_open({**sharding, "rid": "d3"}, cache)
+    direct.shard_open({**sharding, "rid": "d3"})
     direct.journal.close()
 
     routed_records = _masked_payloads(
@@ -473,9 +547,7 @@ def test_checkpoint_writes_an_array_spec_as_its_lists(tmp_path):
     registry = _StreamRegistry(
         8, None, journal=DurableLog(tmp_path, checkpoint_every=1)
     )
-    registry.shard_open(
-        {"graph": arrays, "n_shards": 2, "index": 0}, GraphCache(4)
-    )
+    registry.shard_open({"graph": arrays, "n_shards": 2, "index": 0})
     registry.journal.close()
     generation, ckpt, _ = latest_generation(tmp_path)
     assert generation == 1 and ckpt is not None
@@ -484,73 +556,34 @@ def test_checkpoint_writes_an_array_spec_as_its_lists(tmp_path):
     assert recovered._shards["s1"].export_state()["graph"] == spec
 
 
-# -- the supervisor ----------------------------------------------------
-
-_PROBE = (
-    "import sys; sys.exit(0 if '--recover' in sys.argv else 75)"
-)
-
-
-def test_supervise_respawns_with_recover_flag(tmp_path):
-    code = supervise(
-        [sys.executable, "-c", _PROBE],
-        journal_dir=str(tmp_path),
-        max_restarts=2,
-        backoff=0.01,
-    )
-    assert code == 0
-
-
-def test_supervise_gives_up_after_restart_budget(tmp_path):
-    code = supervise(
-        [sys.executable, "-c", "import sys; sys.exit(75)"],
-        journal_dir=str(tmp_path),
-        max_restarts=2,
-        backoff=0.01,
-    )
-    assert code == 75
-
-
 # -- SIGKILL the real daemon mid-epoch ---------------------------------
 
 
 class _Daemon:
-    """A ``python -m repro serve`` subprocess with line-wise I/O."""
+    """A ``python -m repro serve --listen`` subprocess and its client."""
 
-    def __init__(self, *args: str):
+    def __init__(self, sock: str, *args: str):
         env = dict(os.environ)
         src = str(Path(__file__).resolve().parents[1] / "src")
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
         self.proc = subprocess.Popen(
-            [sys.executable, "-m", "repro", "serve", *args],
-            stdin=subprocess.PIPE,
+            [sys.executable, "-m", "repro", "serve", "--listen",
+             f"unix:{sock}", *args],
             stdout=subprocess.PIPE,
             text=True,
-            bufsize=1,
             env=env,
         )
-        self._lines: queue.Queue[str] = queue.Queue()
-        self._reader = threading.Thread(
-            target=self._pump, daemon=True
-        )
-        self._reader.start()
+        ready = json.loads(self.proc.stdout.readline())
+        assert ready["event"] == "serve.listening", ready
+        self.client = ResilientClient(ready["address"], retries=4)
 
-    def _pump(self):
-        for line in self.proc.stdout:
-            self._lines.put(line)
-
-    def ask(self, msg: dict, timeout: float = 60.0) -> dict:
-        self.proc.stdin.write(json.dumps(msg) + "\n")
-        self.proc.stdin.flush()
-        try:
-            return json.loads(self._lines.get(timeout=timeout))
-        except queue.Empty:  # pragma: no cover - hang = test failure
-            self.proc.kill()
-            raise AssertionError(f"daemon gave no response to {msg}")
+    def ask(self, msg: dict) -> dict:
+        return self.client.request(msg, deadline=60.0, check=False)
 
     def sigkill(self):
         self.proc.send_signal(signal.SIGKILL)
         self.proc.wait(timeout=30)
+        self.proc.stdout.close()
 
 
 def test_sigkill_mid_epoch_then_recover(tmp_path):
@@ -559,7 +592,8 @@ def test_sigkill_mid_epoch_then_recover(tmp_path):
     rematched), restart with ``--recover``, and check the recovered
     session serves the acknowledged epoch with a matching guarantee."""
     journal = str(tmp_path / "journal")
-    first = _Daemon("--journal", journal, "--checkpoint-every", "3")
+    sock = str(tmp_path / "d.sock")
+    first = _Daemon(sock, "--journal", journal, "--checkpoint-every", "3")
     try:
         opened = first.ask(
             {"id": 1, "op": "stream_open", "graph": GRAPH_SPEC,
@@ -589,7 +623,7 @@ def test_sigkill_mid_epoch_then_recover(tmp_path):
         first.sigkill()
 
     second = _Daemon(
-        "--journal", journal, "--recover", "--checkpoint-every", "3"
+        sock, "--journal", journal, "--recover", "--checkpoint-every", "3"
     )
     try:
         # The recovered graph must be at the acknowledged epoch —
@@ -605,10 +639,8 @@ def test_sigkill_mid_epoch_then_recover(tmp_path):
         # An uninterrupted replica of the same request sequence lands on
         # the same acknowledgment, bitwise — the kill changed nothing.
         registry = _StreamRegistry(8, None)
-        cache = GraphCache(8)
         registry.open(
-            {"graph": GRAPH_SPEC, "target_quality": 0.55, "seed": 1},
-            cache,
+            {"graph": GRAPH_SPEC, "target_quality": 0.55, "seed": 1}
         )
         registry.rematch({"handle": handle})
         registry.update(
@@ -629,6 +661,7 @@ def test_sigkill_mid_epoch_then_recover(tmp_path):
         done = second.ask({"id": 7, "op": "shutdown"})
         assert done["ok"], done
         assert second.proc.wait(timeout=30) == 0
+        second.proc.stdout.close()
     finally:
         if second.proc.poll() is None:  # pragma: no cover - cleanup
             second.sigkill()

@@ -7,8 +7,6 @@ sweep (they are fast — the slow overload soaks live in the CI
 
 from __future__ import annotations
 
-import io
-import json
 import threading
 import time
 
@@ -37,9 +35,9 @@ from repro.serve import (
     SoakReport,
     rung_for_pressure,
     run_soak,
-    serve_forever,
 )
 from repro.serve.admission import AdmissionQueue
+from repro.serve.daemon import _run_script
 
 pytestmark = pytest.mark.serve
 
@@ -458,11 +456,8 @@ def test_daemon_json_lines_round_trip():
         {"id": 4, "op": "nope"},
         {"id": 5, "op": "shutdown"},
     ]
-    stdin = io.StringIO("\n".join(json.dumps(r) for r in requests) + "\n")
-    stdout = io.StringIO()
-    code = serve_forever(stdin=stdin, stdout=stdout)
+    code, replies = _run_script(requests)
     assert code == 0
-    replies = [json.loads(line) for line in stdout.getvalue().splitlines()]
     by_id = {reply["id"]: reply for reply in replies}
     assert by_id[1]["ok"] and by_id[1]["status"] == "ok"
     assert by_id[2]["ok"] and by_id[2]["rung"] in RUNGS
@@ -475,10 +470,10 @@ def test_daemon_json_lines_round_trip():
 
 
 def test_daemon_rejects_malformed_lines():
-    stdin = io.StringIO("this is not json\n")
-    stdout = io.StringIO()
-    assert serve_forever(stdin=stdin, stdout=stdout) == 0
-    reply = json.loads(stdout.getvalue().splitlines()[0])
+    # A request that is not an object gets a typed answer (the socket
+    # front answers an undecodable payload the same way).
+    code, (reply,) = _run_script(["this is not json"])
+    assert code == 0
     assert not reply["ok"]
     assert reply["error"] == "ServiceError"
 
@@ -565,10 +560,8 @@ def test_daemon_exact_method_end_to_end():
         },
         {"id": 3, "op": "shutdown"},
     ]
-    stdin = io.StringIO("\n".join(json.dumps(r) for r in requests) + "\n")
-    stdout = io.StringIO()
-    assert serve_forever(stdin=stdin, stdout=stdout) == 0
-    replies = [json.loads(line) for line in stdout.getvalue().splitlines()]
+    code, replies = _run_script(requests)
+    assert code == 0
     by_id = {reply["id"]: reply for reply in replies}
     assert by_id[1]["ok"]
     assert by_id[1]["rung"] == "exact"
@@ -609,10 +602,8 @@ def test_daemon_stream_exact_repair_end_to_end():
         {"id": 4, "op": "stream_close", "handle": "s1"},
         {"id": 5, "op": "shutdown"},
     ]
-    stdin = io.StringIO("\n".join(json.dumps(r) for r in requests) + "\n")
-    stdout = io.StringIO()
-    assert serve_forever(stdin=stdin, stdout=stdout) == 0
-    replies = [json.loads(line) for line in stdout.getvalue().splitlines()]
+    code, replies = _run_script(requests)
+    assert code == 0
     by_id = {reply["id"]: reply for reply in replies}
     assert by_id[1]["ok"] and by_id[1]["handle"] == "s1"
     assert by_id[2]["ok"]

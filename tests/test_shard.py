@@ -403,15 +403,12 @@ def test_shard_validate_rows_counts_partners_outside_the_slice():
 
 
 def _dispatcher(max_streams=8, acked_cap=1024):
-    from repro.serve.daemon import Dispatcher, GraphCache, _StreamRegistry
+    from repro.serve.daemon import Dispatcher, _StreamRegistry
     from repro.serve.server import MatchingServer
 
     server = MatchingServer("serial")
     dispatcher = Dispatcher(
-        server,
-        GraphCache(4),
-        _StreamRegistry(max_streams, "serial"),
-        acked_cap=acked_cap,
+        server, _StreamRegistry(max_streams, "serial"), acked_cap=acked_cap
     )
     return server, dispatcher
 
@@ -534,29 +531,48 @@ def test_dispatcher_shard_errors_are_typed():
         server.close()
 
 
+@pytest.mark.parametrize(
+    "first, second", [("shard_open", "open"), ("open", "shard_open")]
+)
+def test_stream_and_shard_opens_share_one_budget(first, second):
+    from repro.errors import StreamError
+    from repro.serve.daemon import _StreamRegistry
+
+    registry = _StreamRegistry(1, "serial")
+    msg = {"graph": {"kind": "sprand", "n": 40, "degree": 3.0, "seed": 0},
+           "n_shards": 1, "index": 0}
+    getattr(registry, first)(msg)
+    with pytest.raises(StreamError, match="stream limit"):
+        getattr(registry, second)(msg)
+    assert len(registry._sessions) + len(registry._shards) == 1
+
+
 def test_dispatcher_acked_cache_is_bounded():
+    spec = {"nrows": 8, "ncols": 8, "rows": [0], "cols": [1]}
+
+    def update(i, rid):
+        # Update k adds the new edge (k, 0); adding it again adds none.
+        response, _ = dispatcher.handle(
+            {"op": "update", "id": i, "rid": rid, "handle": "s1",
+             "add": {"rows": [int(rid[1:])], "cols": [0]}}
+        )
+        assert response["ok"], response
+        return response["epoch"], response["added"]
+
     with telemetry.session() as reg:
         server, dispatcher = _dispatcher(acked_cap=2)
         try:
-            for i in range(4):
-                response, _ = dispatcher.handle(
-                    {"op": "health", "id": i, "rid": f"r{i}"}
-                )
-                assert response["ok"]
+            dispatcher.handle({"op": "stream_open", "id": 0, "graph": spec})
+            acks = [update(i, f"r{i}") for i in range(4)]
+            assert acks == [(1, 1), (2, 1), (3, 1), (4, 1)]
             # Cap 2: remembering r2 evicted r0, remembering r3 evicted r1.
             assert dispatcher.rid_evictions == 2
             assert len(dispatcher._acked) == 2
             # A retry inside the window replays the cached ack...
-            replay, _ = dispatcher.handle(
-                {"op": "health", "id": 9, "rid": "r3"}
-            )
-            assert replay["ok"]
+            assert update(9, "r3") == (4, 1)
             assert reg.counter("serve.rid_replays").value == 1
             # ...and a retry of an evicted rid re-executes instead.
-            fresh, _ = dispatcher.handle(
-                {"op": "health", "id": 10, "rid": "r0"}
-            )
-            assert fresh["ok"]
+            assert update(10, "r0") == (4, 0)
             assert reg.counter("serve.rid_replays").value == 1
             assert reg.counter("serve.rid_evictions").value >= 2
             health, _ = dispatcher.handle({"op": "health", "id": 11})
@@ -577,7 +593,7 @@ def test_dispatcher_rejects_bad_acked_cap():
 
 
 def test_shard_sessions_survive_journal_recovery(tmp_path):
-    from repro.serve.daemon import GraphCache, _StreamRegistry
+    from repro.serve.daemon import _StreamRegistry
     from repro.serve.journal import DurableLog
     from repro.serve.recovery import recover_registry
 
@@ -586,7 +602,6 @@ def test_shard_sessions_survive_journal_recovery(tmp_path):
     with kernel_chunk_override(CHUNK):
         local = shard_match(g, 2, 3, seed=8)
     plan = local.plan
-    cache = GraphCache(4)
     # checkpoint_every=2 forces a mid-stream snapshot, so recovery
     # exercises checkpoint load + WAL tail replay, not replay alone.
     registry = _StreamRegistry(
@@ -597,8 +612,7 @@ def test_shard_sessions_survive_journal_recovery(tmp_path):
         opened = registry.shard_open(
             {"graph": spec, "n_shards": 2, "index": k,
              "chunk_rows": plan.chunk_rows, "chunk_cols": plan.chunk_cols,
-             "rid": f"open-{k}"},
-            cache,
+             "rid": f"open-{k}"}
         )
         handles.append(opened["handle"])
     for k, handle in enumerate(handles):
@@ -623,7 +637,7 @@ def test_shard_sessions_survive_journal_recovery(tmp_path):
     registry.journal.close()
 
     recovered, report = recover_registry(
-        str(tmp_path), cache=GraphCache(4), attach_journal=False
+        str(tmp_path), attach_journal=False
     )
     assert sorted(recovered._shards) == sorted(handles)
     for handle in handles:
@@ -736,12 +750,12 @@ def test_daemon_tier_survives_shard_kill_mid_round(tmp_path):
 
 
 def _socket_stack(tmp_path, name="ka.sock"):
-    from repro.serve.daemon import Dispatcher, GraphCache, _StreamRegistry
+    from repro.serve.daemon import Dispatcher, _StreamRegistry
     from repro.serve.net import SocketServer
     from repro.serve.server import MatchingServer
 
     server = MatchingServer("serial")
-    dispatcher = Dispatcher(server, GraphCache(4), _StreamRegistry(4, "serial"))
+    dispatcher = Dispatcher(server, _StreamRegistry(4, "serial"))
     front = SocketServer(
         dispatcher, f"unix:{tmp_path}/{name}", deadline=30.0
     )

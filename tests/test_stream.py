@@ -9,7 +9,6 @@ weaken the certificate.
 
 from __future__ import annotations
 
-import io
 import json
 import multiprocessing
 
@@ -24,10 +23,11 @@ from repro.graph.generators import sprand, union_of_permutations
 from repro.matching import hopcroft_karp
 from repro.scaling import alpha_for_quality
 from repro.serve.daemon import (
+    GRAPH_CACHE_CAP,
     GraphCache,
+    _run_script,
     build_graph,
     graph_key,
-    serve_forever,
 )
 from repro.stream import DynamicBipartiteGraph, StreamMatcher, run_churn
 from repro.stream.rescale import local_rebalance
@@ -394,16 +394,13 @@ def test_run_churn_reports_matching_guarantees():
 
 
 def _drive(requests, **kwargs):
-    stdin = io.StringIO("\n".join(json.dumps(r) for r in requests) + "\n")
-    stdout = io.StringIO()
-    assert serve_forever(stdin=stdin, stdout=stdout, **kwargs) == 0
-    return {
-        reply["id"]: reply
-        for reply in map(json.loads, stdout.getvalue().splitlines())
-    }
+    code, replies = _run_script(requests, **kwargs)
+    assert code == 0
+    return {reply["id"]: reply for reply in replies}
 
 
 def test_graph_cache_lru_eviction_and_counter():
+    assert GraphCache().cap == GRAPH_CACHE_CAP
     cache = GraphCache(2)
     spec = lambda s: {"kind": "union", "n": 40, "k": 2, "seed": s}
     g0 = build_graph(spec(0), cache)
@@ -538,10 +535,8 @@ def test_daemon_sessions_share_one_backend_and_close_it():
             yield {"id": k, "op": "stream_close", "handle": handle}
         alive.append(pool_workers())
 
-    stdout = io.StringIO()
-    lines = (json.dumps(r) + "\n" for r in requests())
-    assert serve_forever("shm:2", stdin=lines, stdout=stdout) == 0
-    replies = [json.loads(line) for line in stdout.getvalue().splitlines()]
+    code, replies = _run_script(requests(), "shm:2")
+    assert code == 0
     assert len(replies) == 9 and all(r["ok"] for r in replies)
     assert 1 <= alive[0] <= 2
     assert pool_workers() == 0
@@ -570,14 +565,21 @@ def test_daemon_stream_limits_and_validation():
 
 
 def test_daemon_graph_cache_cap_threads_through():
-    specs = [{"kind": "union", "n": 30, "k": 2, "seed": s} for s in range(3)]
+    # The daemon's cache holds GRAPH_CACHE_CAP graphs; two specs past it
+    # evict two.
+    specs = [
+        {"kind": "union", "n": 30, "k": 2, "seed": s}
+        for s in range(GRAPH_CACHE_CAP + 2)
+    ]
     reqs = [
         {"id": i, "op": "match", "graph": spec, "iterations": 1}
         for i, spec in enumerate(specs)
     ]
     with telemetry.session() as reg:
-        by_id = _drive(reqs + [{"id": 9, "op": "shutdown"}],
-                       graph_cache_cap=1)
+        by_id = _drive(reqs + [{"id": "h", "op": "health"}])
         evictions = reg.snapshot()["serve.graph_cache.evictions"]["value"]
-    assert all(by_id[i]["ok"] for i in range(3))
+    assert all(by_id[i]["ok"] for i in range(len(specs)))
+    assert by_id["h"]["graph_cache"] == {
+        "size": GRAPH_CACHE_CAP, "cap": GRAPH_CACHE_CAP
+    }
     assert evictions == 2
